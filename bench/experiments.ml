@@ -324,7 +324,7 @@ let fig9b () =
     rowf "fig9b %-12s k=%2d  satisfied=%.3f" name (Array.length idx) sat
   in
   List.iter
-    (fun k -> evaluate_subset "dpp" (Dpp.select ~vectors ~k ()))
+    (fun k -> evaluate_subset "dpp" (Dpp.select ~vectors ~k))
     [ 2; 4; 8 ];
   (* Ablation: random selection at the middle size. *)
   evaluate_subset "random" (Dpp.select_random ~seed:9 ~n:pool_size ~k:4);

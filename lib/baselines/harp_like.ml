@@ -8,6 +8,7 @@ module Allocation = Sate_te.Allocation
 module Model = Sate_gnn.Model
 module Te_graph = Sate_gnn.Te_graph
 module Gat = Sate_gnn.Gat
+module Trainer = Sate_gnn.Trainer
 
 type t = {
   base : Model.t;
@@ -80,17 +81,12 @@ let forward t (g : Te_graph.t) =
 let train ?(epochs = 20) ?(lr = 2e-3) t instances =
   let t0 = Unix.gettimeofday () in
   let samples =
-    List.map
-      (fun inst ->
-        let label = Sate_te.Lp_solver.solve ~objective:Sate_te.Lp_solver.Min_mlu inst in
-        ( Te_graph.of_instance inst,
-          Sate_gnn.Loss.label_ratios_of_alloc inst label ))
-      instances
+    List.map (Trainer.make_sample ~objective:Sate_te.Lp_solver.Min_mlu) instances
   in
   let opt = Optimizer.adam ~lr (params t) in
   for _ = 1 to epochs do
     List.iter
-      (fun (g, labels) ->
+      (fun { Trainer.graph = g; labels; _ } ->
         if g.Te_graph.num_paths > 0 then begin
           let pred = forward t g in
           let loss = A.mean (A.square (A.sub pred (A.const labels))) in

@@ -11,20 +11,19 @@ type t = {
   k : int;
   encoder : Layers.linear;
   allocator : Layers.linear;
-  hidden : int;
 }
 
-let create ?(hidden = 8) ?(seed = 5) ~num_sats ~k () =
+(* Encoder width, scaled to CPU budgets. *)
+let hidden = 8
+
+let create ?(seed = 5) ~num_sats ~k () =
   let rng = Rng.create seed in
   let in_dim = num_sats * num_sats * (1 + k) in
   let out_dim = num_sats * num_sats * k in
   { num_sats;
     k;
-    hidden;
     encoder = Layers.linear rng ~in_dim ~out_dim:hidden;
     allocator = Layers.linear rng ~in_dim:hidden ~out_dim }
-
-let input_volume_bytes t = t.num_sats * t.num_sats * (1 + t.k) * 8
 
 let params t = Layers.linear_params t.encoder @ Layers.linear_params t.allocator
 

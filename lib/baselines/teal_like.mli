@@ -8,7 +8,8 @@
     - the input is the dense [n^2 x (1 + k)] pair grid (demand plus k
       candidate-path features), so it cannot be pruned — input volume
       and inference cost grow with n^2 regardless of traffic sparsity
-      ({!input_volume_bytes}, Fig. 8a);
+      (Fig. 8a; [Sate_pruning.Volume] measures the dense and pruned
+      sizes);
     - the allocator's weights are tied to the pair/path ordering of
       the topology it was trained on, so a trained model does not
       transfer to unseen topologies (Sec. 2.4);
@@ -19,12 +20,8 @@
 
 type t
 
-val create : ?hidden:int -> ?seed:int -> num_sats:int -> k:int -> unit -> t
-(** [hidden] defaults to 8 (scaled to CPU budgets). *)
-
-val input_volume_bytes : t -> int
-(** Dense per-data-point input size (the 263 GB problem of Sec. 2.4,
-    at this scale). *)
+val create : ?seed:int -> num_sats:int -> k:int -> unit -> t
+(** A fresh model with an 8-wide encoder (scaled to CPU budgets). *)
 
 val num_parameters : t -> int
 

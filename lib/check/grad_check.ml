@@ -21,7 +21,13 @@ let result_to_string r =
 
 let failures = List.filter (fun r -> not r.passed)
 
-let check_inplace ?(eps = 1e-5) ?(tol = default_tol) ~name ~param ~forward () =
+(* Central-difference step. *)
+let eps = 1e-5
+
+(* Gradient of the scalar [forward ()] wrt the leaf [param], whose
+   value is perturbed in place (and restored); [forward] must rebuild
+   the graph from the current leaf values on every call. *)
+let check_inplace ~tol ~name ~param ~forward =
   let rows, cols = A.shape param in
   (* Zero only the checked leaf: [forward] builds a fresh graph, so
      stale gradients on other leaves never reach this one. *)
@@ -54,9 +60,9 @@ let check_inplace ?(eps = 1e-5) ?(tol = default_tol) ~name ~param ~forward () =
     checked = Array.length data;
     passed = !max_rel <= tol }
 
-let check ?eps ?tol ~name ~build x0 =
+let check ?(tol = default_tol) ~name ~build x0 =
   let leaf = A.leaf (Tensor.copy x0) in
-  check_inplace ?eps ?tol ~name ~param:leaf ~forward:(fun () -> build leaf) ()
+  check_inplace ~tol ~name ~param:leaf ~forward:(fun () -> build leaf)
 
 let rand rng rows cols =
   Tensor.init rows cols (fun _ _ -> Rng.uniform rng (-1.0) 1.0)
@@ -69,7 +75,7 @@ let rand_away rng rows cols =
       let v = Rng.uniform rng 0.2 1.0 in
       if Rng.bool rng then v else -.v)
 
-let all_ops ?(seed = 7) ?eps ?tol () =
+let all_ops ?(seed = 7) ?tol () =
   let rng = Rng.create seed in
   let w32 = rand rng 3 2 in
   let w23 = rand rng 2 3 in
@@ -160,10 +166,10 @@ let all_ops ?(seed = 7) ?eps ?tol () =
         Tensor.copy a51 ) ]
   in
   List.map
-    (fun (name, build, x0) -> check ?eps ?tol ~name ~build x0)
+    (fun (name, build, x0) -> check ?tol ~name ~build x0)
     (cases @ edge_cases)
 
-let gat_layer ?(seed = 11) ?eps ?(tol = 1e-3) ?(attention = true) () =
+let gat_layer ?(seed = 11) ?(tol = 1e-3) ?(attention = true) () =
   let rng = Rng.create seed in
   let dim = 4 and heads = 2 in
   let gat = Gat.create ~attention rng ~dim ~heads in
@@ -178,5 +184,5 @@ let gat_layer ?(seed = 11) ?eps ?(tol = 1e-3) ?(attention = true) () =
     :: List.mapi (fun i p -> (Printf.sprintf "gat:param%d" i, p)) (Gat.params gat)
   in
   List.map
-    (fun (name, param) -> check_inplace ?eps ~tol ~name ~param ~forward ())
+    (fun (name, param) -> check_inplace ~tol ~name ~param ~forward)
     targets

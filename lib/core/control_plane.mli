@@ -5,19 +5,9 @@
     for the rest.  The per-satellite delay is the speed-of-light time
     along the shortest (delay-weighted) route. *)
 
-val houston : Sate_geo.Geo.vec3
-(** Default control-centre location used by the paper's example. *)
-
-val rule_distribution_delays_ms :
-  ?center:Sate_geo.Geo.vec3 ->
-  ?min_elevation_deg:float ->
-  Sate_topology.Snapshot.t ->
-  float array
-(** One-way delay to every satellite (ms); [infinity] for satellites
-    unreachable from the centre in this snapshot.  Satellites above
-    [min_elevation_deg] (default 25) receive rules directly. *)
-
-val rule_count_estimate :
-  Sate_te.Instance.t -> int
-(** Total flow-table rules the allocation implies: m active pairs x k
-    paths x average path length (Appendix D overhead estimate). *)
+val rule_distribution_delays_ms : Sate_topology.Snapshot.t -> float array
+(** One-way delay from a control centre in Houston (the paper's
+    example) to every satellite (ms); [infinity] for satellites
+    unreachable from the centre in this snapshot.  Satellites at
+    least 25 degrees above the centre's horizon receive rules
+    directly. *)

@@ -26,8 +26,6 @@ let name = function
   | Teal _ -> "teal-like"
   | Harp _ -> "harp-like"
 
-let is_centralized = function Satellite_routing -> false | _ -> true
-
 let solve m inst =
   match m with
   | Lp -> Lp_solver.solve inst

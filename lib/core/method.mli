@@ -26,7 +26,3 @@ val solve_timed : t -> Sate_te.Instance.t -> Sate_te.Allocation.t * float
     the latency is that of the slowest parallel partition; for the
     distributed [Satellite_routing] the paper excludes latency
     comparisons, so 0 is reported. *)
-
-val is_centralized : t -> bool
-(** Whether the method's latency is meaningful (false only for
-    [Satellite_routing]). *)

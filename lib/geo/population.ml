@@ -135,9 +135,3 @@ let sample s rng =
     if s.cumulative.(mid) > target then hi := mid else lo := mid + 1
   done;
   location_in_cell rng !lo
-
-let sample_location t ~smoothing rng =
-  sample (make_sampler t ~smoothing ~land_only:false) rng
-
-let sample_land_location t ~smoothing rng =
-  sample (make_sampler t ~smoothing ~land_only:true) rng

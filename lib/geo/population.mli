@@ -44,13 +44,5 @@ val sample : sampler -> Sate_util.Rng.t -> float * float
 (** Draw a (lat_deg, lon_deg) location, uniform within the chosen
     cell. *)
 
-val sample_location :
-  t -> smoothing:float -> Sate_util.Rng.t -> float * float
-(** One-shot convenience wrapper around {!make_sampler}/{!sample}. *)
-
-val sample_land_location :
-  t -> smoothing:float -> Sate_util.Rng.t -> float * float
-(** Like {!sample_location} restricted to land cells. *)
-
 val cell_of : lat_deg:float -> lon_deg:float -> int
 (** Row-major cell index of a coordinate. *)

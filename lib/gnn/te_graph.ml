@@ -139,11 +139,3 @@ let of_instance ?(with_access_relation = false) (inst : Instance.t) =
     incidence_path = Array.of_list (List.rev !inc_path);
     incidence_link = Array.of_list (List.rev !inc_link);
     link_caps = Array.map (fun li -> links.(li).Link.capacity_mbps) used }
-
-let memory_estimate_bytes t =
-  let edge_bytes (e : edges) = (Array.length e.src * 2 * 8) + (e.feat.Tensor.rows * 8) in
-  (t.num_sats + t.num_paths + t.num_traffic) * 8
-  + edge_bytes t.r1 + edge_bytes t.r2 + edge_bytes t.r3
-  + (match t.access with Some a -> edge_bytes a | None -> 0)
-  + (Array.length t.incidence_path * 16)
-  + (Array.length t.link_caps * 8)

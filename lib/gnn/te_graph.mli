@@ -53,7 +53,3 @@ val of_instance : ?with_access_relation:bool -> Sate_te.Instance.t -> t
 
 val reverse : edges -> edges
 (** Swap edge direction (for the path -> sat / sat -> path pair). *)
-
-val memory_estimate_bytes : t -> int
-(** Rough in-memory footprint of the graph tensors — the quantity
-    dataset pruning keeps under control (Table 1). *)

@@ -22,8 +22,10 @@ type report = {
   wall_clock_s : float;
 }
 
-let train ?(loss_config = Loss.default_config) ?(epochs = 30) ?(lr = 2e-3)
-    ?(shuffle_seed = 17) model samples =
+(* Seed of the per-epoch sample shuffle. *)
+let shuffle_seed = 17
+
+let train ?(epochs = 30) ?(lr = 2e-3) model samples =
   let t0 = Unix.gettimeofday () in
   let params = Model.params model in
   let opt = Optimizer.adam ~lr params in
@@ -38,7 +40,7 @@ let train ?(loss_config = Loss.default_config) ?(epochs = 30) ?(lr = 2e-3)
         if s.graph.Te_graph.num_paths > 0 then begin
           let pred = Model.forward model s.graph in
           let loss =
-            Loss.compute loss_config s.graph ~pred_ratios:pred
+            Loss.compute Loss.default_config s.graph ~pred_ratios:pred
               ~label_ratios:s.labels
           in
           A.backward loss;
@@ -51,8 +53,7 @@ let train ?(loss_config = Loss.default_config) ?(epochs = 30) ?(lr = 2e-3)
   done;
   { epochs_run = epochs; losses; wall_clock_s = Unix.gettimeofday () -. t0 }
 
-let fine_tune ?loss_config ?(epochs = 10) ?(lr = 5e-4) model samples =
-  train ?loss_config ~epochs ~lr model samples
+let fine_tune ?(epochs = 10) ?(lr = 5e-4) model samples = train ~epochs ~lr model samples
 
 let evaluate model samples =
   let ratios =
@@ -65,8 +66,3 @@ let evaluate model samples =
   match ratios with
   | [] -> 0.0
   | _ -> List.fold_left ( +. ) 0.0 ratios /. float_of_int (List.length ratios)
-
-let inference_time_ms model sample =
-  let t0 = Unix.gettimeofday () in
-  ignore (Model.forward ~parallel:true model sample.graph);
-  (Unix.gettimeofday () -. t0) *. 1000.0

@@ -22,31 +22,14 @@ type report = {
   wall_clock_s : float;
 }
 
-val train :
-  ?loss_config:Loss.config ->
-  ?epochs:int ->
-  ?lr:float ->
-  ?shuffle_seed:int ->
-  Model.t ->
-  sample list ->
-  report
-(** Adam over per-sample losses, samples shuffled each epoch. *)
+val train : ?epochs:int -> ?lr:float -> Model.t -> sample list -> report
+(** Adam over per-sample {!Loss.default_config} losses, samples
+    shuffled each epoch by an RNG seeded with 17. *)
 
-val fine_tune :
-  ?loss_config:Loss.config ->
-  ?epochs:int ->
-  ?lr:float ->
-  Model.t ->
-  sample list ->
-  report
+val fine_tune : ?epochs:int -> ?lr:float -> Model.t -> sample list -> report
 (** Continue training an existing (e.g. transferred) model at a
     reduced learning rate — the curriculum-style adaptation the paper
     suggests for constellations under gradual expansion (Sec. 7). *)
 
 val evaluate : Model.t -> sample list -> float
 (** Mean satisfied-demand ratio of trimmed predictions. *)
-
-val inference_time_ms : Model.t -> sample -> float
-(** Wall-clock of one forward pass (graph already built), i.e. the
-    paper's "computational latency" for SaTE.  Times the same call as
-    {!Model.predict}: [Model.forward ~parallel:true]. *)

@@ -1,5 +1,5 @@
-(** Dense-tableau simplex linear-programming solver over sparse
-    constraint rows.
+(** Tableau simplex linear-programming solver over sparse constraint
+    rows.
 
     This is the repository's stand-in for the commercial solver the
     paper uses for ground-truth TE labels and as the "Gurobi"
@@ -8,10 +8,14 @@
     {v max/min  c . x   subject to   A x (<=|=|>=) b,  x >= 0 v}
 
     with the Big-M method for equality/>= rows and Bland's rule as an
-    anti-cycling fallback.  Dense tableaus are adequate at the problem
-    sizes used for label generation; production WAN solvers are
-    faster, which only widens the latency gap the paper reports in
-    SaTE's favour. *)
+    anti-cycling fallback.  The tableau is dense but holds only the
+    non-basic columns (rows x (cols - rows + 1) floats) and a pivot
+    updates only the columns where the pivot row is non-zero.  The
+    pivots and the solution are bit for bit those of the full
+    tableau.  This is adequate at the problem sizes
+    used for label generation; production WAN solvers are faster,
+    which only widens the latency gap the paper reports in SaTE's
+    favour. *)
 
 type sense = Le | Ge | Eq
 

@@ -62,5 +62,3 @@ let load_params params data =
     params;
   if !off <> Array.length data then
     invalid_arg "Layers.load_params: data length mismatch"
-
-let tensor_of (p : Autodiff.t) = p.Autodiff.value

@@ -1,7 +1,5 @@
 (** Trainable layers: linear maps and multi-layer perceptrons. *)
 
-open Sate_tensor
-
 type linear = { w : Autodiff.t; b : Autodiff.t }
 (** Affine map [x -> x W + b] with [W : in x out], [b : 1 x out]. *)
 
@@ -31,6 +29,3 @@ val dump_params : Autodiff.t list -> float array
 val load_params : Autodiff.t list -> float array -> unit
 (** Restore values produced by {!dump_params} into parameters of the
     same shapes (in-place). *)
-
-val tensor_of : Autodiff.t -> Tensor.t
-(** Current value of a node (alias for [.value]). *)

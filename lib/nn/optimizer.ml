@@ -4,28 +4,24 @@ type t = {
   params : Autodiff.t list;
   m : Tensor.t list;
   v : Tensor.t list;
-  mutable lr : float;
-  beta1 : float;
-  beta2 : float;
-  eps : float;
-  clip_norm : float;
+  lr : float;
   mutable step_count : int;
 }
 
-let adam ?(lr = 1e-3) ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8)
-    ?(clip_norm = 5.0) params =
+let beta1 = 0.9
+
+let beta2 = 0.999
+
+let eps = 1e-8
+
+(* Global-norm clipping threshold. *)
+let clip_norm = 5.0
+
+let adam ?(lr = 1e-3) params =
   let zero_like (p : Autodiff.t) =
     Tensor.create p.Autodiff.value.Tensor.rows p.Autodiff.value.Tensor.cols
   in
-  { params;
-    m = List.map zero_like params;
-    v = List.map zero_like params;
-    lr;
-    beta1;
-    beta2;
-    eps;
-    clip_norm;
-    step_count = 0 }
+  { params; m = List.map zero_like params; v = List.map zero_like params; lr; step_count = 0 }
 
 let zero_grads t =
   List.iter
@@ -45,9 +41,9 @@ let step t =
       0.0 t.params
   in
   let norm = sqrt total_sq in
-  let clip = if norm > t.clip_norm then t.clip_norm /. norm else 1.0 in
-  let bc1 = 1.0 -. (t.beta1 ** float_of_int t.step_count) in
-  let bc2 = 1.0 -. (t.beta2 ** float_of_int t.step_count) in
+  let clip = if norm > clip_norm then clip_norm /. norm else 1.0 in
+  let bc1 = 1.0 -. (beta1 ** float_of_int t.step_count) in
+  let bc2 = 1.0 -. (beta2 ** float_of_int t.step_count) in
   List.iter2
     (fun (p : Autodiff.t) (m, v) ->
       let g = p.Autodiff.grad.Tensor.data in
@@ -55,15 +51,11 @@ let step t =
       let md = m.Tensor.data and vd = v.Tensor.data in
       for i = 0 to Array.length pd - 1 do
         let gi = g.(i) *. clip in
-        md.(i) <- (t.beta1 *. md.(i)) +. ((1.0 -. t.beta1) *. gi);
-        vd.(i) <- (t.beta2 *. vd.(i)) +. ((1.0 -. t.beta2) *. gi *. gi);
+        md.(i) <- (beta1 *. md.(i)) +. ((1.0 -. beta1) *. gi);
+        vd.(i) <- (beta2 *. vd.(i)) +. ((1.0 -. beta2) *. gi *. gi);
         let mhat = md.(i) /. bc1 and vhat = vd.(i) /. bc2 in
-        pd.(i) <- pd.(i) -. (t.lr *. mhat /. (sqrt vhat +. t.eps))
+        pd.(i) <- pd.(i) -. (t.lr *. mhat /. (sqrt vhat +. eps))
       done)
     t.params
     (List.combine t.m t.v);
   zero_grads t
-
-let set_lr t lr = t.lr <- lr
-
-let lr t = t.lr

@@ -2,22 +2,10 @@
 
 type t
 
-val adam :
-  ?lr:float ->
-  ?beta1:float ->
-  ?beta2:float ->
-  ?eps:float ->
-  ?clip_norm:float ->
-  Autodiff.t list ->
-  t
-(** Track the given parameters.  Defaults: lr 1e-3, beta1 0.9, beta2
-    0.999, eps 1e-8, global-norm clipping at 5.0. *)
+val adam : ?lr:float -> Autodiff.t list -> t
+(** Track the given parameters.  Learning rate [lr] (default 1e-3);
+    beta1 0.9, beta2 0.999, eps 1e-8 and global-norm gradient
+    clipping at 5.0. *)
 
 val step : t -> unit
 (** Apply one update from the accumulated gradients, then zero them. *)
-
-val zero_grads : t -> unit
-
-val set_lr : t -> float -> unit
-
-val lr : t -> float

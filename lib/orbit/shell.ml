@@ -6,18 +6,17 @@ type t = {
   inclination_deg : float;
   planes : int;
   sats_per_plane : int;
-  phasing : int;
 }
 
 (* Sidereal-day Earth rotation rate, rad/s. *)
 let earth_rotation_rad_s = 7.2921159e-5
 
-let make ?(name = "shell") ?(phasing = 1) ~altitude_km ~inclination_deg ~planes
+let make ?(name = "shell") ~altitude_km ~inclination_deg ~planes
     ~sats_per_plane () =
   if altitude_km <= 0.0 then invalid_arg "Shell.make: altitude must be positive";
   if planes <= 0 || sats_per_plane <= 0 then
     invalid_arg "Shell.make: counts must be positive";
-  { name; altitude_km; inclination_deg; planes; sats_per_plane; phasing }
+  { name; altitude_km; inclination_deg; planes; sats_per_plane }
 
 let size t = t.planes * t.sats_per_plane
 
@@ -29,31 +28,20 @@ let mean_motion_rad_s t =
 
 let period_s t = 2.0 *. Float.pi /. mean_motion_rad_s t
 
-let j2 = 1.08263e-3
-
-let raan_drift_rad_s t =
-  let a = semi_major_axis_km t in
-  let ratio = Geo.earth_radius_km /. a in
-  let inc = t.inclination_deg *. Float.pi /. 180.0 in
-  -1.5 *. j2 *. mean_motion_rad_s t *. ratio *. ratio *. cos inc
-
-(* Shared position kernel: argument-of-latitude rate and RAAN rate are
-   the only differences between the Keplerian and J2 models. *)
-let position_with_rates t ~plane ~slot ~time_s ~u_rate ~raan_rate =
+let position t ~plane ~slot ~time_s =
   assert (plane >= 0 && plane < t.planes);
   assert (slot >= 0 && slot < t.sats_per_plane);
   let a = semi_major_axis_km t in
   let inc = t.inclination_deg *. Float.pi /. 180.0 in
-  let raan =
-    (2.0 *. Float.pi *. float_of_int plane /. float_of_int t.planes)
-    +. (raan_rate *. time_s)
-  in
+  let raan = 2.0 *. Float.pi *. float_of_int plane /. float_of_int t.planes in
+  (* Walker phasing factor 1: adjacent planes are offset along track by
+     one slot spacing divided by the plane count. *)
   let u0 =
     (2.0 *. Float.pi *. float_of_int slot /. float_of_int t.sats_per_plane)
-    +. 2.0 *. Float.pi *. float_of_int (t.phasing * plane)
+    +. 2.0 *. Float.pi *. float_of_int plane
        /. float_of_int (t.planes * t.sats_per_plane)
   in
-  let u = u0 +. (u_rate *. time_s) in
+  let u = u0 +. (mean_motion_rad_s t *. time_s) in
   let cos_u = cos u and sin_u = sin u in
   let cos_i = cos inc and sin_i = sin inc in
   let cos_o = cos raan and sin_o = sin raan in
@@ -66,20 +54,3 @@ let position_with_rates t ~plane ~slot ~time_s ~u_rate ~raan_rate =
   { Geo.x = (cos_t *. x_eci) +. (sin_t *. y_eci);
     y = (-.sin_t *. x_eci) +. (cos_t *. y_eci);
     z = z_eci }
-
-let position_j2 t ~plane ~slot ~time_s =
-  let a = semi_major_axis_km t in
-  let ratio = Geo.earth_radius_km /. a in
-  let inc = t.inclination_deg *. Float.pi /. 180.0 in
-  let n = mean_motion_rad_s t in
-  (* Draconitic rate: combined secular drift of argument of perigee
-     and mean anomaly for a circular orbit. *)
-  let u_rate =
-    n *. (1.0 +. (1.5 *. j2 *. ratio *. ratio *. (1.0 -. (1.5 *. sin inc *. sin inc))))
-  in
-  position_with_rates t ~plane ~slot ~time_s ~u_rate
-    ~raan_rate:(raan_drift_rad_s t)
-
-let position t ~plane ~slot ~time_s =
-  position_with_rates t ~plane ~slot ~time_s ~u_rate:(mean_motion_rad_s t)
-    ~raan_rate:0.0

@@ -2,7 +2,9 @@
 
     A shell is a set of circular orbits sharing altitude and
     inclination: [planes] orbital planes spread evenly in RAAN, each
-    carrying [sats_per_plane] equally spaced satellites.  This matches
+    carrying [sats_per_plane] equally spaced satellites, with Walker
+    phasing factor 1 (the along-track offset between adjacent planes
+    is [2 pi / (planes * sats_per_plane)]).  This matches
     the FCC filing structure the paper replicates (Table 4). *)
 
 type t = {
@@ -11,14 +13,10 @@ type t = {
   inclination_deg : float;  (** Orbital inclination. *)
   planes : int;  (** Number of orbital planes. *)
   sats_per_plane : int;  (** Satellites per plane. *)
-  phasing : int;
-      (** Walker phasing factor F: the along-track offset between
-          adjacent planes is [2 pi F / (planes * sats_per_plane)]. *)
 }
 
 val make :
   ?name:string ->
-  ?phasing:int ->
   altitude_km:float ->
   inclination_deg:float ->
   planes:int ->
@@ -44,19 +42,3 @@ val position :
 (** ECEF position of the satellite at [plane, slot] at simulation time
     [time_s] seconds.  Accounts for Earth rotation so ground-relative
     geometry (elevation angles) is correct. *)
-
-val j2 : float
-(** Earth's dominant oblateness coefficient, 1.08263e-3. *)
-
-val raan_drift_rad_s : t -> float
-(** Secular nodal-regression rate from J2: negative (westward) for
-    prograde shells, positive for the retrograde-leaning polar
-    shell. *)
-
-val position_j2 :
-  t -> plane:int -> slot:int -> time_s:float -> Sate_geo.Geo.vec3
-(** Like {!position} but with the dominant J2 secular effects: RAAN
-    drift ({!raan_drift_rad_s}) and the corrected draconitic angular
-    rate.  Inter-shell relative geometry drifts realistically over
-    hours; over the sub-minute horizons of most TE experiments the
-    Keplerian {!position} is indistinguishable and faster. *)

@@ -79,7 +79,7 @@ let worker pool =
   in
   loop ()
 
-let create ?(domains = 1) () =
+let create domains =
   let size = max 1 domains in
   let pool =
     { size;
@@ -93,8 +93,6 @@ let create ?(domains = 1) () =
   pool.domains <-
     Array.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
   pool
-
-let size pool = pool.size
 
 let shutdown pool =
   Mutex.lock pool.job_mu;
@@ -130,18 +128,15 @@ let run_task pool task =
 (* ------------------------------------------------------------------ *)
 (* Ambient pool.                                                       *)
 
-let env_domains () =
+let default_size () =
   match Sys.getenv_opt "SATE_DOMAINS" with
-  | None -> None
+  | None -> min 8 (max 1 (Domain.recommended_domain_count ()))
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None -> None)
-
-let default_size () =
-  match env_domains () with
-  | Some n -> n
-  | None -> min 8 (max 1 (Domain.recommended_domain_count ()))
+      | Some n when n >= 1 -> n
+      | Some _ | None ->
+          invalid_arg
+            (Printf.sprintf "SATE_DOMAINS=%s: expected a positive integer" s))
 
 let global : t option ref = ref None
 
@@ -151,7 +146,7 @@ let get () =
   match !global with
   | Some pool -> pool
   | None ->
-      let pool = create ~domains:(default_size ()) () in
+      let pool = create (default_size ()) in
       global := Some pool;
       if not !at_exit_registered then begin
         at_exit_registered := true;
@@ -168,7 +163,7 @@ let domains () = (get ()).size
 
 let with_domains n f =
   let previous = !global in
-  let temp = create ~domains:(max 1 n) () in
+  let temp = create n in
   global := Some temp;
   Fun.protect
     ~finally:(fun () ->
@@ -185,11 +180,9 @@ let chunk_bounds n chunks c =
   let hi = lo + q + if c < r then 1 else 0 in
   (lo, hi)
 
-let resolve = function Some pool -> pool | None -> get ()
-
-let range_iter ?pool ?chunks n f =
+let range_iter ?chunks n f =
   if n > 0 then begin
-    let pool = resolve pool in
+    let pool = get () in
     if pool.size <= 1 || in_pool () then f 0 n
     else begin
       let chunks =
@@ -210,66 +203,22 @@ let range_iter ?pool ?chunks n f =
     end
   end
 
-let parallel_for ?pool n f =
-  range_iter ?pool n (fun lo hi ->
-      for i = lo to hi - 1 do
-        f i
-      done)
-
-let map_array ?pool f a =
+let map_array f a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
     (* Element 0 seeds the result array on the calling domain; the
        remaining slots are filled by disjoint chunk writers. *)
     let out = Array.make n (f a.(0)) in
-    parallel_for ?pool (n - 1) (fun i -> out.(i + 1) <- f a.(i + 1));
+    range_iter (n - 1) (fun lo hi ->
+        for i = lo + 1 to hi do
+          out.(i) <- f a.(i)
+        done);
     out
   end
 
-let map_reduce ?pool ~map ~combine ~init n =
-  if n <= 0 then init
-  else begin
-    let pool = resolve pool in
-    let sequential () =
-      let acc = ref init in
-      for i = 0 to n - 1 do
-        acc := combine !acc (map i)
-      done;
-      !acc
-    in
-    if pool.size <= 1 || in_pool () then sequential ()
-    else begin
-      let chunks = min n (4 * pool.size) in
-      if chunks <= 1 then sequential ()
-      else begin
-        let partials = Array.make chunks None in
-        run_task pool
-          { chunks;
-            next = Atomic.make 0;
-            finished = Atomic.make 0;
-            run =
-              (fun c ->
-                let lo, hi = chunk_bounds n chunks c in
-                let acc = ref (map lo) in
-                for i = lo + 1 to hi - 1 do
-                  acc := combine !acc (map i)
-                done;
-                partials.(c) <- Some !acc);
-            task_mu = Mutex.create ();
-            task_cv = Condition.create ();
-            failed = None };
-        (* Partials fold in fixed chunk-index order: the result depends
-           only on the chunk count, never on worker scheduling. *)
-        Array.fold_left
-          (fun acc p -> match p with Some v -> combine acc v | None -> acc)
-          init partials
-      end
-    end
-  end
-
-let both ?pool f g =
-  let pool = resolve pool in
+let both f g =
+  let pool = get () in
   if pool.size <= 1 || in_pool () then
     let a = f () in
     let b = g () in

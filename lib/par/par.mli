@@ -18,73 +18,36 @@
       is re-raised on the submitting domain after all chunks have run;
       the pool remains usable afterwards.
 
-    The ambient pool is created lazily on first use.  Its size is
-    [SATE_DOMAINS] when set, otherwise
-    [min 8 (Domain.recommended_domain_count ())]. *)
-
-type t
-(** A pool of worker domains. *)
-
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns a pool of [domains] workers total
-    (that is, [domains - 1] extra domains; the submitting domain
-    always participates).  Default and minimum is 1, which spawns
-    nothing. *)
-
-val size : t -> int
-(** Worker count, including the submitting domain. *)
-
-val shutdown : t -> unit
-(** Stop and join the pool's domains.  The ambient pool is shut down
-    automatically at exit. *)
-
-val get : unit -> t
-(** The ambient pool (created on first call). *)
+    The ambient pool is created lazily on first use and shut down at
+    exit.  Its size is [SATE_DOMAINS] when set, otherwise
+    [min 8 (Domain.recommended_domain_count ())].  A [SATE_DOMAINS]
+    that is not a positive integer makes that first use raise
+    [Invalid_argument]. *)
 
 val domains : unit -> int
-(** [size (get ())]. *)
+(** Worker count of the ambient pool, including the submitting
+    domain. *)
 
 val with_domains : int -> (unit -> 'a) -> 'a
 (** [with_domains n f] runs [f] with the ambient pool replaced by a
-    fresh pool of [n] workers, restoring (and shutting the temporary
-    pool down) afterwards, even on exceptions.  [with_domains 1] is
-    the cheap way to force sequential execution of a region. *)
+    fresh pool of [n] workers (at least 1), restoring (and shutting
+    the temporary pool down) afterwards, even on exceptions.
+    [with_domains 1] is the cheap way to force sequential execution of
+    a region. *)
 
-val in_pool : unit -> bool
-(** True while executing inside a pool chunk (worker or submitter);
-    combinators called in that state run sequentially inline. *)
-
-val range_iter : ?pool:t -> ?chunks:int -> int -> (int -> int -> unit) -> unit
+val range_iter : ?chunks:int -> int -> (int -> int -> unit) -> unit
 (** [range_iter n f] covers [0, n) with disjoint contiguous ranges,
     calling [f lo hi] for each (the range is [lo, hi)).  [?chunks]
-    overrides the default chunk count of [4 * size] (it is clamped to
-    [n]); kernels that pay a fixed scan cost per chunk pass
+    overrides the default chunk count of [4 * domains ()] (it is
+    clamped to [n]); kernels that pay a fixed scan cost per chunk pass
     [~chunks:(domains ())]. *)
 
-val parallel_for : ?pool:t -> int -> (int -> unit) -> unit
-(** [parallel_for n f] runs [f i] for each [i] in [0, n), chunked as
-    in {!range_iter}. *)
-
-val map_array : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
+val map_array : ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], with elements mapped in parallel into fixed
     slots.  [f] is applied to element 0 on the submitting domain
-    first (to seed the result array), then to the rest in chunks. *)
+    first (to seed the result array), then to the rest in chunks as
+    in {!range_iter}. *)
 
-val map_reduce :
-  ?pool:t ->
-  map:(int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  init:'a ->
-  int ->
-  'a
-(** [map_reduce ~map ~combine ~init n] folds [combine] over
-    [map 0 .. map (n-1)].  Each chunk folds its indices in order;
-    partials then fold in chunk-index order, so the result is
-    reproducible for a fixed pool size, and bit-identical to the
-    sequential fold whenever [combine] is associative (always for
-    exact types like [int]; floating-point reductions may differ from
-    sequential in the last bits when the pool has size > 1). *)
-
-val both : ?pool:t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** Run two independent computations, in parallel when the pool has
     spare workers.  Exceptions propagate as in the other combinators. *)

@@ -34,13 +34,7 @@ let is_loopless t =
       end)
     t.nodes
 
-let valid_in snap t =
-  let ok = ref true in
-  for i = 0 to Array.length t.nodes - 2 do
-    if !ok && Snapshot.find_link snap t.nodes.(i) t.nodes.(i + 1) = None then
-      ok := false
-  done;
-  !ok
+let valid_in snap t = Snapshot.path_valid snap t.nodes
 
 let length_km snap t =
   let total = ref 0.0 in

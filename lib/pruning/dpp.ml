@@ -27,11 +27,11 @@ let median_distance vectors =
     end
   end
 
-let select ?sigma ~vectors ~k () =
+let select ~vectors ~k =
   let n = Array.length vectors in
   if n = 0 || k <= 0 then [||]
   else begin
-    let sigma = match sigma with Some s -> s | None -> median_distance vectors in
+    let sigma = median_distance vectors in
     let k = min k n in
     (* Chen et al. fast greedy MAP: d2.(i) is the current marginal
        gain; cis.(step).(i) the Cholesky coefficients. *)

@@ -7,12 +7,11 @@
     determinant selects maximally diverse vectors, i.e. structurally
     diverse topologies. *)
 
-val select :
-  ?sigma:float -> vectors:float array array -> k:int -> unit -> int array
+val select : vectors:float array array -> k:int -> int array
 (** Indices of [k] diverse items: the determinant-gain order first,
     topped up arbitrarily once near-duplicates exhaust the gain (so
-    callers always get [min k n] items).  [sigma] defaults to the
-    median pairwise distance estimated on a sample. *)
+    callers always get [min k n] items).  [sigma] is the median
+    pairwise distance estimated on a sample of the vectors. *)
 
 val select_random : seed:int -> n:int -> k:int -> int array
 (** Uniform random baseline for the DPP-vs-random ablation. *)

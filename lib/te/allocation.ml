@@ -224,14 +224,3 @@ let scale_to_full_demand (inst : Instance.t) alloc =
         else Array.make n (c.Instance.demand_mbps /. float_of_int n)
       end)
     alloc
-
-let restrict_to_valid (inst : Instance.t) snap alloc =
-  Array.mapi
-    (fun f rates ->
-      let c = inst.Instance.commodities.(f) in
-      Array.mapi
-        (fun p rate ->
-          if rate > 0.0 && Path.valid_in snap c.Instance.paths.(p) then rate
-          else 0.0)
-        rates)
-    alloc

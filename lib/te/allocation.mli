@@ -78,9 +78,3 @@ val scale_to_full_demand : Instance.t -> t -> t
     their paths).  Used to compare MLU across methods: utilisation is
     only meaningful between allocations carrying the same traffic, and
     may exceed 1. *)
-
-val restrict_to_valid :
-  Instance.t -> Sate_topology.Snapshot.t -> t -> t
-(** Zero the rates of paths that are no longer valid in another
-    snapshot — how a stale allocation degrades while a slow TE method
-    is still computing (online evaluation, Sec. 5.4). *)

@@ -388,14 +388,3 @@ let segment_softmax scores seg =
 let xavier rng fan_in fan_out =
   let bound = sqrt (6.0 /. float_of_int (fan_in + fan_out)) in
   init fan_in fan_out (fun _ _ -> Rng.uniform rng (-.bound) bound)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to min (t.rows - 1) 7 do
-    Format.fprintf fmt "[";
-    for j = 0 to min (t.cols - 1) 7 do
-      Format.fprintf fmt "%8.4f " (get t i j)
-    done;
-    Format.fprintf fmt "]@,"
-  done;
-  Format.fprintf fmt "(%dx%d)@]" t.rows t.cols

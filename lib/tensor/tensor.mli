@@ -148,5 +148,3 @@ val segment_softmax : t -> int array -> t
 
 val xavier : Sate_util.Rng.t -> int -> int -> t
 (** Glorot-uniform initialisation for a [fan_in x fan_out] weight. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,8 @@
 module Rng = Sate_util.Rng
 
+(* Stream [count] snapshots sampled every [dt_s] seconds through [f]
+   without retaining them (full-Starlink streams would not fit in
+   memory). *)
 let fold_snapshots builder ~start_s ~dt_s ~count ~init ~f =
   let acc = ref init in
   for i = 0 to count - 1 do
@@ -80,7 +83,7 @@ let exclusion_series builder ~start_s ~dt_s ~intervals =
 let path_obsolescence builder ~start_s ~dt_s ~checkpoints ~paths =
   let checkpoints = List.sort_uniq compare checkpoints in
   let max_count = List.fold_left max 1 checkpoints in
-  let paths = Array.of_list paths in
+  let paths = Array.of_list (List.map Array.of_list paths) in
   let n = Array.length paths in
   let dead = Array.make n false in
   let results = ref [] in

@@ -3,18 +3,6 @@
     These drive Fig. 4: topology holding time (THT), link exclusion
     versus TE-interval length, and configured-path obsolescence. *)
 
-val fold_snapshots :
-  Builder.t ->
-  start_s:float ->
-  dt_s:float ->
-  count:int ->
-  init:'a ->
-  f:('a -> Snapshot.t -> 'a) ->
-  'a
-(** Stream [count] snapshots sampled every [dt_s] seconds through [f]
-    without retaining them (full-Starlink streams would not fit in
-    memory). *)
-
 val holding_times_ms :
   Builder.t -> start_s:float -> dt_s:float -> count:int -> float array
 (** Topology holding times: each entry is [dt_s * 1000 * k] for a

@@ -10,12 +10,6 @@ type t = {
   length_km : float;
 }
 
-let kind_to_string = function
-  | Intra_orbit -> "intra-orbit"
-  | Inter_orbit -> "inter-orbit"
-  | Cross_shell_laser -> "cross-shell-laser"
-  | Relay -> "relay"
-
 let key t = if t.u <= t.v then (t.u, t.v) else (t.v, t.u)
 
 let compare_key (a1, b1) (a2, b2) =

@@ -21,11 +21,9 @@ type t = {
   length_km : float;  (** Geometric length at snapshot time. *)
 }
 
-val kind_to_string : kind -> string
-
 val key : t -> int * int
 (** Canonical endpoint pair [(min u v, max u v)] used for snapshot
-    diffing; a topology is its set of keys. *)
+    comparison; a topology is its set of keys. *)
 
 val compare_key : int * int -> int * int -> int
 

@@ -10,6 +10,3 @@ val generate :
 (** [generate ~seed ()] returns relay ECEF positions at the Earth
     surface.  Default [count] is 222 per the paper, [smoothing] 5.0 so
     remote land also hosts the occasional relay. *)
-
-val default_count : int
-(** 222, the number of real-world sites the paper uses. *)

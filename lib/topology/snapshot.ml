@@ -54,16 +54,6 @@ let equal_topology a b =
   Array.length a.links = Array.length b.links
   && link_keys a = link_keys b
 
-let diff a b =
-  let ka = link_keys a and kb = link_keys b in
-  let in_b = Hashtbl.create (Array.length kb) in
-  Array.iter (fun k -> Hashtbl.replace in_b k ()) kb;
-  let in_a = Hashtbl.create (Array.length ka) in
-  Array.iter (fun k -> Hashtbl.replace in_a k ()) ka;
-  let removed = Array.fold_left (fun acc k -> if Hashtbl.mem in_b k then acc else acc + 1) 0 ka in
-  let added = Array.fold_left (fun acc k -> if Hashtbl.mem in_a k then acc else acc + 1) 0 kb in
-  (added, removed)
-
 let degree t i = List.length t.adj.(i)
 
 let remove_links t pairs =
@@ -78,10 +68,14 @@ let remove_links t pairs =
   make ~time_s:t.time_s ~num_sats:t.num_sats ~sat_positions:t.sat_positions
     ~relay_positions:t.relay_positions ~links
 
-let path_valid t path =
-  let rec ok = function
-    | [] | [ _ ] -> true
-    | u :: (v :: _ as rest) -> (
-        match find_link t u v with Some _ -> ok rest | None -> false)
-  in
-  ok path
+let rec has_neighbour v = function
+  | [] -> false
+  | (nbr, _) :: rest -> nbr = v || has_neighbour v rest
+
+let path_valid t nodes =
+  let last = Array.length nodes - 1 in
+  let i = ref 0 in
+  while !i < last && has_neighbour nodes.(!i + 1) t.adj.(nodes.(!i)) do
+    incr i
+  done;
+  !i >= last

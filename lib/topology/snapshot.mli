@@ -45,16 +45,13 @@ val link_keys : t -> (int * int) array
 val equal_topology : t -> t -> bool
 (** Whether two snapshots have identical link sets. *)
 
-val diff : t -> t -> int * int
-(** [(added, removed)] link counts going from the first snapshot to
-    the second. *)
-
 val degree : t -> int -> int
 
 val remove_links : t -> (int * int) list -> t
 (** Snapshot with the given endpoint pairs removed (failure
     injection); unknown pairs are ignored. *)
 
-val path_valid : t -> int list -> bool
+val path_valid : t -> int array -> bool
 (** Whether consecutive nodes of a path are all connected in this
-    snapshot. *)
+    snapshot.  Allocates nothing: it runs for every stored path in
+    each round's path-database update. *)

@@ -25,8 +25,6 @@ let num_entries t = Array.length t.entries
 
 let pairs t = Array.to_list (Array.map (fun e -> (e.src, e.dst)) t.entries)
 
-let dense_volume_bytes t = t.num_sats * t.num_sats * 8
-
 let sparse_volume_bytes t = Array.length t.entries * (8 + 4 + 4)
 
 let find t ~src ~dst =
@@ -44,15 +42,3 @@ let find t ~src ~dst =
       else search lo mid
   in
   search 0 n
-
-let active_satellites t =
-  let set = Hashtbl.create 64 in
-  Array.iter
-    (fun e ->
-      Hashtbl.replace set e.src ();
-      Hashtbl.replace set e.dst ())
-    t.entries;
-  let ids = Hashtbl.fold (fun k () acc -> k :: acc) set [] in
-  let arr = Array.of_list ids in
-  Array.sort compare arr;
-  arr

@@ -26,16 +26,9 @@ val num_entries : t -> int
 val pairs : t -> (int * int) list
 (** The [(src, dst)] pair of every entry, in entry order. *)
 
-val dense_volume_bytes : t -> int
-(** Size of the dense [num_sats x num_sats] float matrix a DNN-based
-    method must materialise (Table 1 "original"). *)
-
 val sparse_volume_bytes : t -> int
 (** Size of the pruned representation: 8-byte demand plus two 4-byte
     indices per non-zero entry (Table 1 "pruned"). *)
 
 val find : t -> src:int -> dst:int -> float
 (** Demand of a pair, 0 when absent. *)
-
-val active_satellites : t -> int array
-(** Sorted ids of satellites appearing in any entry. *)

@@ -84,11 +84,6 @@ let pop h =
     Some (prio, value)
   end
 
-let pop_exn h =
-  match pop h with
-  | Some r -> r
-  | None -> invalid_arg "Heap.pop_exn: empty"
-
 let clear h =
   (* Same audit as [pop]: dropping [size] alone would retain every
      stored value until the slot is overwritten by a future push. *)

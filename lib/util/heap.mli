@@ -24,8 +24,5 @@ val pop : 'a t -> (float * 'a) option
     internal slot is cleared, so the heap never retains a popped value
     from the GC. *)
 
-val pop_exn : 'a t -> float * 'a
-(** Like {!pop} but raises [Invalid_argument] when empty. *)
-
 val clear : 'a t -> unit
 (** Remove all elements, releasing every stored value reference. *)

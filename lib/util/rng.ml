@@ -80,16 +80,3 @@ let shuffle t a =
 let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
-
-let sample_weighted t w =
-  let total = Array.fold_left ( +. ) 0.0 w in
-  assert (total > 0.0);
-  let target = float t total in
-  let n = Array.length w in
-  let rec loop i acc =
-    if i >= n - 1 then n - 1
-    else
-      let acc = acc +. w.(i) in
-      if target < acc then i else loop (i + 1) acc
-  in
-  loop 0 0.0

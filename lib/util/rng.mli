@@ -51,7 +51,3 @@ val shuffle : t -> 'a array -> unit
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val sample_weighted : t -> float array -> int
-(** [sample_weighted t w] draws an index with probability proportional
-    to [w.(i)].  Requires some strictly positive weight. *)

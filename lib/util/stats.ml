@@ -76,19 +76,3 @@ let cdf_points xs n =
         let idx = max 0 idx in
         (sorted.(idx), frac))
   end
-
-let histogram xs ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  if Array.length xs = 0 then [||]
-  else begin
-    let lo, hi = min_max xs in
-    let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-    let counts = Array.make bins 0 in
-    Array.iter
-      (fun x ->
-        let b = int_of_float ((x -. lo) /. width) in
-        let b = min (bins - 1) (max 0 b) in
-        counts.(b) <- counts.(b) + 1)
-      xs;
-    Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts
-  end

@@ -34,9 +34,5 @@ val cdf_points : float array -> int -> (float * float) list
     Raises [Invalid_argument] on any NaN sample (same policy as
     {!percentile}). *)
 
-val histogram : float array -> bins:int -> (float * int) array
-(** [histogram xs ~bins] buckets samples into [bins] equal-width bins;
-    each entry is [(bin_lower_edge, count)]. *)
-
 val sum : float array -> float
 (** Kahan-compensated sum. *)

@@ -83,11 +83,11 @@ let test_teal_scale_mismatch () =
    with Invalid_argument _ -> ())
 
 let test_teal_input_volume_quadratic () =
-  let small = Teal_like.create ~num_sats:66 ~k:10 () in
-  let big = Teal_like.create ~num_sats:660 ~k:10 () in
-  Alcotest.(check int) "100x input volume"
-    (100 * Teal_like.input_volume_bytes small)
-    (Teal_like.input_volume_bytes big)
+  (* The encoder reads the dense n^2 (1 + k) pair grid and the
+     allocator writes n^2 k ratios, so ten times the satellites means
+     a hundred times the weights (the 8 encoder biases stay). *)
+  let weights n = Teal_like.num_parameters (Teal_like.create ~num_sats:n ~k:10 ()) - 8 in
+  Alcotest.(check int) "100x weights" (100 * weights 10) (weights 100)
 
 let test_teal_train_and_predict () =
   let instances = Helpers.instance_series ~count:2 () in

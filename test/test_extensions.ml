@@ -1,6 +1,6 @@
 (* Tests for the extension surface: demand estimation (Appendix D),
-   fairness objectives (Eq. 3 / Appendix H.4), fine-tuning (Sec. 7),
-   and J2 orbital perturbation. *)
+   fairness objectives (Eq. 3 / Appendix H.4) and fine-tuning
+   (Sec. 7). *)
 
 module Estimator = Sate_traffic.Estimator
 module Flow_class = Sate_traffic.Flow_class
@@ -115,41 +115,6 @@ let test_log_utility_below_throughput_optimum () =
   let util = Allocation.total_flow (Lp_solver.solve ~objective:Lp_solver.Max_log_utility inst) in
   Alcotest.(check bool) "fairness costs at most the optimum" true (util <= thr +. 1e-6)
 
-(* --- J2 perturbation --- *)
-
-let shell =
-  Shell.make ~altitude_km:550.0 ~inclination_deg:53.0 ~planes:24 ~sats_per_plane:22 ()
-
-let test_j2_nodal_regression_sign () =
-  Alcotest.(check bool) "prograde shell regresses westward" true
-    (Shell.raan_drift_rad_s shell < 0.0);
-  let polar =
-    Shell.make ~altitude_km:560.0 ~inclination_deg:97.6 ~planes:6 ~sats_per_plane:58 ()
-  in
-  Alcotest.(check bool) "retrograde-leaning shell drifts eastward" true
-    (Shell.raan_drift_rad_s polar > 0.0)
-
-let test_j2_magnitude () =
-  (* Starlink-like shells regress around 5 degrees/day. *)
-  let per_day = Shell.raan_drift_rad_s shell *. 86400.0 *. 180.0 /. Float.pi in
-  Alcotest.(check bool)
-    (Printf.sprintf "drift %.2f deg/day in [-6, -4]" per_day)
-    true
-    (per_day < -4.0 && per_day > -6.0)
-
-let test_j2_matches_kepler_at_t0 () =
-  let a = Shell.position shell ~plane:3 ~slot:5 ~time_s:0.0 in
-  let b = Shell.position_j2 shell ~plane:3 ~slot:5 ~time_s:0.0 in
-  Alcotest.(check (float 1e-9)) "identical at epoch" 0.0 (Geo.distance a b)
-
-let test_j2_diverges_over_time () =
-  let t = 6.0 *. 3600.0 in
-  let a = Shell.position shell ~plane:3 ~slot:5 ~time_s:t in
-  let b = Shell.position_j2 shell ~plane:3 ~slot:5 ~time_s:t in
-  Alcotest.(check bool) "tens of km after 6 h" true (Geo.distance a b > 10.0);
-  Alcotest.(check (float 1e-6)) "same radius"
-    (Geo.norm a) (Geo.norm b)
-
 (* --- Fine-tuning --- *)
 
 let test_fine_tune_improves_on_target () =
@@ -175,8 +140,4 @@ let suite =
     Alcotest.test_case "max-min vs ecmp" `Quick test_max_min_uses_all_paths;
     Alcotest.test_case "log utility fair" `Quick test_log_utility_feasible_and_fair;
     Alcotest.test_case "log utility bounded" `Quick test_log_utility_below_throughput_optimum;
-    Alcotest.test_case "j2 regression sign" `Quick test_j2_nodal_regression_sign;
-    Alcotest.test_case "j2 magnitude" `Quick test_j2_magnitude;
-    Alcotest.test_case "j2 epoch match" `Quick test_j2_matches_kepler_at_t0;
-    Alcotest.test_case "j2 divergence" `Quick test_j2_diverges_over_time;
     Alcotest.test_case "fine-tune" `Slow test_fine_tune_improves_on_target ]

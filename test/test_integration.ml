@@ -97,7 +97,7 @@ let test_pruning_pipeline () =
   let b = Builder.create Constellation.iridium in
   let snaps = List.init 10 (fun i -> Builder.snapshot b ~time_s:(float_of_int i *. 60.0)) in
   let vectors = Array.of_list (List.map Graph_features.vectorize snaps) in
-  let sel = Dpp.select ~vectors ~k:4 () in
+  let sel = Dpp.select ~vectors ~k:4 in
   Alcotest.(check bool) "selected within pool" true
     (Array.for_all (fun i -> i >= 0 && i < 10) sel);
   let inst = Helpers.iridium_instance () in

@@ -200,6 +200,112 @@ let prop_solution_feasible =
       | Infeasible -> false (* impossible: origin is feasible *)
       | Iteration_limit -> false)
 
+(* Outcomes compared bit for bit, signed zeros included. *)
+let same_outcome a b =
+  let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | Optimal x, Optimal y ->
+      bits_equal x.objective y.objective && Array.for_all2 bits_equal x.solution y.solution
+  | Infeasible, Infeasible | Unbounded, Unbounded | Iteration_limit, Iteration_limit ->
+      true
+  | _ -> false
+
+(* Random LPs with every row sense and signed right-hand sides. *)
+let gen_lp ~coeff ~rhs =
+  QCheck.Gen.(
+    let* n = int_range 1 10 in
+    let* m = int_range 1 10 in
+    let* maximize = bool in
+    let* c = array_repeat n coeff in
+    let* rows = list_repeat m (triple (array_repeat n coeff) (oneofl [ Le; Ge; Eq ]) rhs) in
+    return (maximize, c, List.map (fun (dense, sense, b) -> row dense sense b) rows))
+
+let real_coeff = QCheck.Gen.(frequency [ (1, return 0.0); (3, float_range (-5.0) 5.0) ])
+
+(* Small integers: many exactly tied reduced costs and ratios, and
+   degenerate (zero) right-hand sides. *)
+let int_coeff lo hi = QCheck.Gen.(map float_of_int (int_range lo hi))
+
+(* The ties the compact tableau could break differently, between
+   columns whose slots and variable indices are in different orders,
+   are rare: it takes a few thousand cases to meet them. *)
+let prop_matches_full_tableau name ?(max_iters = QCheck.Gen.return None) gen =
+  QCheck.Test.make ~name ~count:3000
+    (QCheck.make QCheck.Gen.(pair gen max_iters))
+    (fun ((maximize, c, constraints), max_iters) ->
+      same_outcome
+        (solve ~maximize ?max_iters ~c ~constraints ())
+        (Full_tableau.solve ~maximize ?max_iters ~c ~constraints ()))
+
+let prop_matches_full_tableau_real =
+  prop_matches_full_tableau "matches full tableau"
+    (gen_lp ~coeff:real_coeff ~rhs:(QCheck.Gen.float_range (-10.0) 10.0))
+
+let prop_matches_full_tableau_ties =
+  prop_matches_full_tableau "matches full tableau on ties"
+    (gen_lp ~coeff:(int_coeff 0 2) ~rhs:(int_coeff (-1) 4))
+
+(* A small iteration limit hands the pivots to Bland's rule, or stops
+   them. *)
+let prop_matches_full_tableau_bland =
+  prop_matches_full_tableau "matches full tableau under bland"
+    ~max_iters:QCheck.Gen.(map Option.some (int_range 1 12))
+    (gen_lp ~coeff:(int_coeff 0 2) ~rhs:(int_coeff (-1) 4))
+
+(* Klee-Minty cube: Dantzig's rule visits all 2^n vertices, so
+   variables leave the basis and enter it again.  max sum_j 2^(n-j) x_j
+   s.t. sum_(j<i) 2^(i-j+1) x_j + x_i <= 5^i; the optimum is
+   x_n = 5^n. *)
+let test_klee_minty () =
+  let n = 6 in
+  let pow b e = Float.of_int (int_of_float (Float.pow b (float_of_int e))) in
+  let c = Array.init n (fun j -> pow 2.0 (n - 1 - j)) in
+  let constraints =
+    List.init n (fun i ->
+        row
+          (Array.init n (fun j ->
+               if j < i then pow 2.0 (i - j + 1) else if j = i then 1.0 else 0.0))
+          Le (pow 5.0 (i + 1)))
+  in
+  let obj, sol = solve_opt ~c ~constraints () in
+  Alcotest.(check (float 0.0)) "objective" (pow 5.0 n) obj;
+  Alcotest.(check (array (float 0.0))) "solution"
+    (Array.init n (fun j -> if j = n - 1 then pow 5.0 n else 0.0))
+    sol;
+  Alcotest.(check bool) "same as full tableau" true
+    (same_outcome (solve ~c ~constraints ()) (Full_tableau.solve ~c ~constraints ()))
+
+let test_surplus_enters () =
+  (* max x + y, x + y >= 1, x <= 3, y <= 2: optimum (3, 2) = 5, where
+     the surplus of the >= row (non-basic at the start) is basic at 4. *)
+  let obj, sol =
+    solve_opt ~c:[| 1.0; 1.0 |]
+      ~constraints:
+        [ row [| 1.0; 1.0 |] Ge 1.0; row [| 1.0; 0.0 |] Le 3.0; row [| 0.0; 1.0 |] Le 2.0 ]
+      ()
+  in
+  Alcotest.(check (float 1e-9)) "objective" 5.0 obj;
+  Alcotest.(check (array (float 1e-9))) "solution" [| 3.0; 2.0 |] sol
+
+(* No variables: rows without terms are all the tableau holds. *)
+let test_empty_rows () =
+  let empty sense rhs = { terms = [||]; sense; rhs } in
+  (match solve ~c:[||] ~constraints:[ empty Le 1.0; empty Eq 0.0 ] () with
+  | Optimal { objective; solution } ->
+      Alcotest.(check (float 0.0)) "objective" 0.0 objective;
+      Alcotest.(check int) "no solution entries" 0 (Array.length solution)
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check bool) "0 >= 1 infeasible" true
+    (solve ~c:[||] ~constraints:[ empty Ge 1.0 ] () = Infeasible)
+
+(* No rows: every variable is non-basic and unconstrained above. *)
+let test_no_constraints () =
+  Alcotest.(check bool) "positive cost unbounded" true
+    (solve ~c:[| 0.0; 1.0 |] ~constraints:[] () = Unbounded);
+  let obj, sol = solve_opt ~c:[| -1.0; 0.0 |] ~constraints:[] () in
+  Alcotest.(check (float 0.0)) "objective" 0.0 obj;
+  Alcotest.(check (array (float 0.0))) "solution" [| 0.0; 0.0 |] sol
+
 let suite =
   [ Alcotest.test_case "max with <=" `Quick test_max_le;
     Alcotest.test_case "min with >= and =" `Quick test_min_ge_eq;
@@ -212,4 +318,11 @@ let suite =
     Alcotest.test_case "zero objective" `Quick test_zero_objective;
     Alcotest.test_case "dimension mismatch" `Quick test_dimension_mismatch;
     QCheck_alcotest.to_alcotest prop_solution_feasible;
-    Alcotest.test_case "term order" `Quick test_term_order ]
+    Alcotest.test_case "term order" `Quick test_term_order;
+    QCheck_alcotest.to_alcotest prop_matches_full_tableau_real;
+    QCheck_alcotest.to_alcotest prop_matches_full_tableau_ties;
+    QCheck_alcotest.to_alcotest prop_matches_full_tableau_bland;
+    Alcotest.test_case "klee-minty" `Quick test_klee_minty;
+    Alcotest.test_case "surplus enters basis" `Quick test_surplus_enters;
+    Alcotest.test_case "empty rows" `Quick test_empty_rows;
+    Alcotest.test_case "no constraints" `Quick test_no_constraints ]

@@ -98,34 +98,25 @@ let test_map_array_matches_sequential () =
       Alcotest.(check (array int)) (Printf.sprintf "map_array pool %d" n) expected got)
     pool_sizes
 
-let test_parallel_for_covers_all_indices () =
+let test_range_iter_covers_all_indices () =
   List.iter
     (fun n ->
       let hits = Array.make 997 0 in
       Par.with_domains n (fun () ->
-          Par.parallel_for 997 (fun i -> hits.(i) <- hits.(i) + 1));
+          Par.range_iter 997 (fun lo hi ->
+              for i = lo to hi - 1 do
+                hits.(i) <- hits.(i) + 1
+              done));
       Alcotest.(check bool) (Printf.sprintf "each index once (pool %d)" n) true
         (Array.for_all (fun h -> h = 1) hits))
-    pool_sizes
-
-let test_map_reduce_sum () =
-  let n = 10001 in
-  let expected = n * (n - 1) / 2 in
-  List.iter
-    (fun d ->
-      let got =
-        Par.with_domains d (fun () ->
-            Par.map_reduce ~map:(fun i -> i) ~combine:( + ) ~init:0 n)
-      in
-      Alcotest.(check int) (Printf.sprintf "map_reduce pool %d" d) expected got)
     pool_sizes
 
 let test_exception_propagates_and_pool_survives () =
   Par.with_domains 2 (fun () ->
       Alcotest.check_raises "worker exception reaches caller"
         (Failure "boom at 321") (fun () ->
-          Par.parallel_for 1000 (fun i ->
-              if i = 321 then failwith "boom at 321"));
+          Par.range_iter 1000 (fun lo hi ->
+              if lo <= 321 && 321 < hi then failwith "boom at 321"));
       (* The pool must stay usable after a failed task. *)
       let out = Par.map_array (fun i -> i * 2) (Array.init 64 (fun i -> i)) in
       Alcotest.(check (array int)) "pool reusable after failure"
@@ -206,19 +197,23 @@ let test_evaluate_deterministic () =
     pool_sizes
 
 let test_chunking_properties () =
-  (* parallel_for with n = 0 and n = 1 must be safe under any pool. *)
+  (* Empty and singleton ranges must be safe under any pool. *)
   Par.with_domains 3 (fun () ->
-      Par.parallel_for 0 (fun _ -> Alcotest.fail "called on empty range");
+      Par.range_iter 0 (fun _ _ -> Alcotest.fail "called on empty range");
+      Alcotest.(check (array int)) "empty map_array" [||]
+        (Par.map_array (fun _ -> Alcotest.fail "mapped an empty array") [||]);
       let hit = ref false in
-      Par.parallel_for 1 (fun i ->
-          Alcotest.(check int) "index" 0 i;
+      Par.range_iter 1 (fun lo hi ->
+          Alcotest.(check (pair int int)) "range" (0, 1) (lo, hi);
           hit := true);
       Alcotest.(check bool) "singleton ran" true !hit;
       (* Nested submission falls back to inline execution, no deadlock. *)
-      let nested = ref (-1) in
-      Par.parallel_for 4 (fun i ->
-          if i = 2 then Par.parallel_for 3 (fun j -> if j = 1 then nested := i));
-      Alcotest.(check int) "nested inline" 2 !nested)
+      let nested =
+        Par.map_array
+          (fun i -> Par.map_array (fun j -> (10 * i) + j) [| 0; 1; 2 |])
+          [| 0; 1; 2; 3 |]
+      in
+      Alcotest.(check (array int)) "nested inline" [| 20; 21; 22 |] nested.(2))
 
 let suite =
   [ Alcotest.test_case "matmul deterministic" `Quick test_matmul_deterministic;
@@ -227,9 +222,8 @@ let suite =
     Alcotest.test_case "segment sum deterministic" `Quick
       test_segment_sum_deterministic;
     Alcotest.test_case "map_array" `Quick test_map_array_matches_sequential;
-    Alcotest.test_case "parallel_for coverage" `Quick
-      test_parallel_for_covers_all_indices;
-    Alcotest.test_case "map_reduce sum" `Quick test_map_reduce_sum;
+    Alcotest.test_case "range_iter coverage" `Quick
+      test_range_iter_covers_all_indices;
     Alcotest.test_case "exception propagation" `Quick
       test_exception_propagates_and_pool_survives;
     Alcotest.test_case "path db deterministic" `Quick test_path_db_deterministic;

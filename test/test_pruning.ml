@@ -72,7 +72,7 @@ let test_dpp_selects_k_distinct () =
     Array.init 30 (fun _ ->
         Array.init 8 (fun _ -> Sate_util.Rng.uniform rng 0.0 1.0))
   in
-  let sel = Dpp.select ~vectors ~k:10 () in
+  let sel = Dpp.select ~vectors ~k:10 in
   Alcotest.(check int) "k items" 10 (Array.length sel);
   let sorted = Array.copy sel in
   Array.sort compare sorted;
@@ -85,7 +85,7 @@ let test_dpp_prefers_diversity () =
   let vectors =
     [| near 0.0; near 0.01; near 0.02; near 10.0; near 10.01; near 10.02 |]
   in
-  let sel = Dpp.select ~vectors ~k:2 () in
+  let sel = Dpp.select ~vectors ~k:2 in
   let cluster i = if vectors.(i).(0) < 5.0 then 0 else 1 in
   Alcotest.(check int) "two picks" 2 (Array.length sel);
   Alcotest.(check bool) "one from each cluster" true
@@ -96,13 +96,13 @@ let test_dpp_deterministic () =
   let vectors =
     Array.init 20 (fun _ -> Array.init 4 (fun _ -> Sate_util.Rng.uniform rng 0.0 1.0))
   in
-  let a = Dpp.select ~vectors ~k:5 () in
-  let b = Dpp.select ~vectors ~k:5 () in
+  let a = Dpp.select ~vectors ~k:5 in
+  let b = Dpp.select ~vectors ~k:5 in
   Alcotest.(check (array int)) "repeatable" a b
 
 let test_dpp_k_larger_than_n () =
   let vectors = [| [| 0.0 |]; [| 1.0 |] |] in
-  let sel = Dpp.select ~vectors ~k:10 () in
+  let sel = Dpp.select ~vectors ~k:10 in
   Alcotest.(check bool) "at most n" true (Array.length sel <= 2)
 
 let test_random_baseline () =

@@ -8,6 +8,10 @@ module Snapshot = Sate_topology.Snapshot
 module Link = Sate_topology.Link
 module Analysis = Sate_topology.Analysis
 module Path = Sate_paths.Path
+module Path_db = Sate_paths.Path_db
+module Demand = Sate_traffic.Demand
+module Constellation = Sate_orbit.Constellation
+module Online = Sate_core.Online
 
 let test_instance_construction () =
   let inst = Helpers.iridium_instance () in
@@ -186,21 +190,22 @@ let test_node_caps_respected () =
     (fun l -> Alcotest.(check bool) "uplink cap respected" true (l <= 1.0 +. 1e-6))
     up
 
-let test_restrict_to_valid () =
+let test_carryover_drops_invalid_paths () =
   let inst = Helpers.iridium_instance () in
   let lp = Lp_solver.solve inst in
-  (* Remove a carrying link; restricted allocation must drop flows on
-     paths using it. *)
+  (* Remove a carrying link; carrying the allocation onto the same
+     demand and stored paths over the degraded snapshot must drop the
+     flows on paths using it. *)
   let loads = Allocation.link_loads inst lp in
   let victim = ref (-1) in
   Array.iteri (fun li l -> if !victim < 0 && l > 0.0 then victim := li) loads;
   if !victim >= 0 then begin
-    let l = inst.Instance.snapshot.Sate_topology.Snapshot.links.(!victim) in
-    let degraded =
-      Sate_topology.Snapshot.remove_links inst.Instance.snapshot
-        [ (l.Sate_topology.Link.u, l.Sate_topology.Link.v) ]
-    in
-    let restricted = Allocation.restrict_to_valid inst degraded lp in
+    let snap = inst.Instance.snapshot in
+    let l = snap.Snapshot.links.(!victim) in
+    let degraded = Snapshot.remove_links snap [ (l.Link.u, l.Link.v) ] in
+    let demand = Instance.demand inst in
+    let db = Path_db.compute Constellation.iridium snap ~pairs:(Demand.pairs demand) ~k:3 in
+    let restricted = Online.carryover inst lp (Instance.make degraded demand db) in
     Alcotest.(check bool) "flow dropped" true
       (Allocation.total_flow restricted < Allocation.total_flow lp)
   end
@@ -244,8 +249,9 @@ let test_verify_raises_on_solver_failure () =
   Alcotest.(check (float 0.0)) "infinite MLU" Float.infinity value
 
 (* The log-utility LP's rows are sparse, so building and solving it
-   allocates little beyond the dense tableau itself: rows x (vars +
-   rows + 1) words, every row here being a <= row with a slack. *)
+   allocates little beyond the tableau itself, which holds only the
+   non-basic columns: rows x (vars + 1) words, every row here being a
+   <= row whose slack starts basic. *)
 let test_lp_allocation () =
   let inst = Helpers.iridium_instance () in
   let commodities = Array.to_list inst.Instance.commodities in
@@ -268,7 +274,7 @@ let test_lp_allocation () =
     + (4 * List.length routable)
   in
   let vars = Instance.num_paths inst + List.length routable in
-  let tableau = float_of_int (rows * (vars + rows + 1)) in
+  let tableau = float_of_int (rows * (vars + 1)) in
   let words =
     Helpers.words_allocated (fun () ->
         Lp_solver.solve ~objective:Lp_solver.Max_log_utility inst)
@@ -338,7 +344,7 @@ let suite =
     Alcotest.test_case "mlu vs throughput" `Quick test_mlu_below_throughput_mlu;
     Alcotest.test_case "per-commodity ratio" `Quick test_per_commodity_ratio;
     Alcotest.test_case "node caps respected" `Quick test_node_caps_respected;
-    Alcotest.test_case "restrict to valid" `Quick test_restrict_to_valid;
+    Alcotest.test_case "restrict to valid" `Quick test_carryover_drops_invalid_paths;
     Alcotest.test_case "verify mode all objectives" `Quick test_verify_mode_all_objectives;
     Alcotest.test_case "violations empty on lp" `Quick test_violations_empty_on_lp;
     Alcotest.test_case "violations structured" `Quick test_violations_structured;

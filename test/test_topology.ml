@@ -45,20 +45,36 @@ let test_snapshot_rejects_duplicate () =
         (Snapshot.make ~time_s:0.0 ~num_sats:2 ~sat_positions:pos
            ~relay_positions:[||] ~links:[ mk_link 0 1; mk_link 1 0 ]))
 
+(* [(added, removed)] link counts going from [a] to [b]. *)
+let link_churn a b =
+  let ka = Snapshot.link_keys a and kb = Snapshot.link_keys b in
+  let absent keys from =
+    Array.fold_left (fun n k -> if Array.mem k from then n else n + 1) 0 keys
+  in
+  (absent kb ka, absent ka kb)
+
 let test_snapshot_equal_and_diff () =
   let a = square_snapshot () in
   let b = square_snapshot () in
   Alcotest.(check bool) "equal" true (Snapshot.equal_topology a b);
   let c = Snapshot.remove_links a [ (0, 1) ] in
   Alcotest.(check bool) "not equal" false (Snapshot.equal_topology a c);
-  let added, removed = Snapshot.diff a c in
+  let added, removed = link_churn a c in
   Alcotest.(check int) "added" 0 added;
   Alcotest.(check int) "removed" 1 removed
 
 let test_path_valid () =
   let s = square_snapshot () in
-  Alcotest.(check bool) "ring path valid" true (Snapshot.path_valid s [ 0; 1; 2 ]);
-  Alcotest.(check bool) "chord invalid" false (Snapshot.path_valid s [ 0; 2 ])
+  Alcotest.(check bool) "ring path valid" true (Snapshot.path_valid s [| 0; 1; 2 |]);
+  Alcotest.(check bool) "chord invalid" false (Snapshot.path_valid s [| 0; 2 |]);
+  (* Checked for every stored path each round: no allocation. *)
+  let ring = [| 0; 1; 2 |] in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Snapshot.path_valid s ring))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 16.0 then Alcotest.failf "path_valid allocated %.0f words in 1000 calls" words
 
 let test_spatial_index_vs_brute_force () =
   let rng = Rng.create 99 in
@@ -197,7 +213,7 @@ let test_builder_hysteresis_stability () =
   let b = Builder.create c in
   let s1 = Builder.snapshot b ~time_s:0.0 in
   let s2 = Builder.snapshot b ~time_s:0.0125 in
-  let added, removed = Snapshot.diff s1 s2 in
+  let added, removed = link_churn s1 s2 in
   let total = Array.length s1.Snapshot.links in
   Alcotest.(check bool) "churn under 2%" true
     (float_of_int (added + removed) < 0.02 *. float_of_int total)

@@ -4,6 +4,7 @@
 module Flow_class = Sate_traffic.Flow_class
 module Generator = Sate_traffic.Generator
 module Demand = Sate_traffic.Demand
+module Volume = Sate_pruning.Volume
 module Builder = Sate_topology.Builder
 module Constellation = Sate_orbit.Constellation
 module Rng = Sate_util.Rng
@@ -75,14 +76,20 @@ let test_demand_aggregation () =
   Alcotest.(check (float 1e-9)) "aggregated" 8.0 (Demand.find d ~src:1 ~dst:2);
   Alcotest.(check (float 1e-9)) "absent" 0.0 (Demand.find d ~src:2 ~dst:1);
   Alcotest.(check (float 1e-9)) "total" 9.0 (Demand.total_demand d);
-  Alcotest.(check (array int)) "active satellites" [| 1; 2; 3; 4 |] (Demand.active_satellites d)
+  Alcotest.(check (list (pair int int))) "pairs" [ (1, 2); (3, 4) ]
+    (List.sort compare (Demand.pairs d))
 
 let test_demand_volumes () =
   let d = Demand.of_assoc ~num_sats:100 [ (1, 2, 5.0) ] in
-  Alcotest.(check int) "dense 100x100x8" 80_000 (Demand.dense_volume_bytes d);
   Alcotest.(check int) "sparse one entry" 16 (Demand.sparse_volume_bytes d);
+  (* Table 1's dense matrix: 100 x 100 4-byte floats. *)
+  let v =
+    Volume.measure ~num_sats:100 ~k:1 ~avg_path_hops:1.0 ~demand:d ~active_paths:0
+      ~active_path_hops:0
+  in
+  Alcotest.(check (float 1e-15)) "dense 100x100x4" 40_000e-9 v.Volume.original_traffic_gb;
   Alcotest.(check bool) "pruning wins" true
-    (Demand.sparse_volume_bytes d < Demand.dense_volume_bytes d)
+    (v.Volume.pruned_traffic_gb < v.Volume.original_traffic_gb)
 
 let test_demand_at_snapshot () =
   let c = Constellation.iridium in
