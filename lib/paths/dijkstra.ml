@@ -36,8 +36,7 @@ let search ~weight ~banned_nodes ~banned_links ~stop snap ~sources =
         else
           List.iter
             (fun (v, li) ->
-              if (not (banned_nodes v)) && not (banned_links (min u v, max u v))
-              then begin
+              if (not (banned_nodes v)) && not (banned_links li) then begin
                 let alt = du +. link_cost weight snap.Snapshot.links.(li) in
                 if alt < dist.(v) then begin
                   dist.(v) <- alt;
@@ -80,22 +79,27 @@ let distances ?(weight = Hops) snap ~sources =
        ~stop:(fun _ -> false) snap ~sources)
 
 let bfs_nearest snap ~src ~follow ~accept =
-  let n = Snapshot.num_nodes snap in
-  let visited = Array.make n false in
+  (* Visited on enqueue: [parent.(v)] is the node that first reached
+     [v] ([-1] for [src], [-2] while unreached). *)
+  let parent = Array.make (Snapshot.num_nodes snap) (-2) in
+  parent.(src) <- -1;
   let queue = Queue.create () in
-  Queue.add (src, 0) queue;
-  visited.(src) <- true;
-  let result = ref None in
-  while !result = None && not (Queue.is_empty queue) do
-    let u, d = Queue.take queue in
-    if accept u then result := Some (u, d)
+  Queue.add src queue;
+  let rec path acc u = if u = src then src :: acc else path (u :: acc) parent.(u) in
+  let rec loop () =
+    if Queue.is_empty queue then None
     else
-      List.iter
-        (fun (v, li) ->
-          if (not visited.(v)) && follow snap.Snapshot.links.(li) then begin
-            visited.(v) <- true;
-            Queue.add (v, d + 1) queue
-          end)
-        (Snapshot.neighbors snap u)
-  done;
-  !result
+      let u = Queue.take queue in
+      match accept u with
+      | Some found -> Some (path [] u, found)
+      | None ->
+          List.iter
+            (fun (v, li) ->
+              if parent.(v) = -2 && follow snap.Snapshot.links.(li) then begin
+                parent.(v) <- u;
+                Queue.add v queue
+              end)
+            (Snapshot.neighbors snap u);
+          loop ()
+  in
+  loop ()

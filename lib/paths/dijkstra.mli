@@ -5,13 +5,14 @@ type weight = Hops  (** Unit cost per link. *) | Km  (** Geometric length. *)
 val shortest :
   ?weight:weight ->
   ?banned_nodes:(int -> bool) ->
-  ?banned_links:(int * int -> bool) ->
+  ?banned_links:(int -> bool) ->
   Sate_topology.Snapshot.t ->
   src:int ->
   dst:int ->
   Path.t option
-(** Dijkstra from [src] to [dst]; [banned_nodes]/[banned_links]
-    support Yen's spur computation.  Default weight is [Hops]. *)
+(** Dijkstra from [src] to [dst]; [banned_nodes] (node ids) and
+    [banned_links] (indices into [snapshot.links]) support Yen's spur
+    computation.  Default weight is [Hops]. *)
 
 val distances :
   ?weight:weight ->
@@ -28,8 +29,11 @@ val bfs_nearest :
   Sate_topology.Snapshot.t ->
   src:int ->
   follow:(Sate_topology.Link.t -> bool) ->
-  accept:(int -> bool) ->
-  (int * int) option
-(** Breadth-first search from [src] along links satisfying [follow];
-    returns the first node satisfying [accept] and its hop distance
-    (the recursive nearest-crossing search of Appendix C). *)
+  accept:(int -> 'a option) ->
+  (int list * 'a) option
+(** Breadth-first search from [src] along links satisfying [follow],
+    testing nodes with [accept] in the order they leave the queue.
+    Returns the node path [src .. node] to the first node [accept]
+    maps to [Some x], together with [x]; the path has the node's BFS
+    hop distance (the recursive nearest-crossing search of
+    Appendix C). *)

@@ -63,77 +63,39 @@ let same_shell_link (l : Link.t) =
   | Link.Intra_orbit | Link.Inter_orbit -> true
   | Link.Cross_shell_laser | Link.Relay -> false
 
-(* Shortest same-shell hop path via BFS with parents; returns node
-   list src..dst or None. *)
-let bfs_intra_path snap src dst =
-  if src = dst then Some [ src ]
-  else begin
-    let n = Snapshot.num_nodes snap in
-    let parent = Array.make n (-2) in
-    parent.(src) <- -1;
-    let q = Queue.create () in
-    Queue.add src q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let u = Queue.take q in
-      List.iter
-        (fun (v, li) ->
-          if parent.(v) = -2 && same_shell_link snap.Snapshot.links.(li) then begin
-            parent.(v) <- u;
-            if v = dst then found := true else Queue.add v q
-          end)
-        (Snapshot.neighbors snap u)
-    done;
-    if not !found then None
-    else begin
-      let rec build acc u = if u = src then src :: acc else build (u :: acc) parent.(u) in
-      Some (build [] dst)
-    end
-  end
-
-(* Nearest node of the source shell holding a crossing toward
-   [target_shell]: a direct cross-shell laser, or a relay that also
-   serves the target shell.  Returns (alpha, crossing) where crossing
-   is the node list alpha..gamma entering the target shell. *)
-let find_crossing c snap ~from ~target_shell =
-  let crossing_of node =
-    (* Direct laser into the target shell. *)
-    let laser =
+(* The crossing from [node] toward [target_shell], as the node list
+   node..gamma entering that shell: a direct cross-shell laser, or a
+   relay that also serves the target shell. *)
+let crossing_of c snap ~target_shell node =
+  (* Direct laser into the target shell. *)
+  let laser =
+    List.find_map
+      (fun (v, li) ->
+        match snap.Snapshot.links.(li).Link.kind with
+        | Link.Cross_shell_laser when shell_of c v = target_shell ->
+            Some [ node; v ]
+        | Link.Cross_shell_laser | Link.Intra_orbit | Link.Inter_orbit
+        | Link.Relay ->
+            None)
+      (Snapshot.neighbors snap node)
+  in
+  match laser with
+  | Some _ as r -> r
+  | None ->
+      (* Bent pipe: relay neighbour with a foot in the target shell. *)
       List.find_map
-        (fun (v, li) ->
+        (fun (relay, li) ->
           match snap.Snapshot.links.(li).Link.kind with
-          | Link.Cross_shell_laser when shell_of c v = target_shell ->
-              Some [ node; v ]
-          | Link.Cross_shell_laser | Link.Intra_orbit | Link.Inter_orbit
           | Link.Relay ->
+              List.find_map
+                (fun (gamma, _) ->
+                  if gamma <> node && shell_of c gamma = target_shell then
+                    Some [ node; relay; gamma ]
+                  else None)
+                (Snapshot.neighbors snap relay)
+          | Link.Intra_orbit | Link.Inter_orbit | Link.Cross_shell_laser ->
               None)
         (Snapshot.neighbors snap node)
-    in
-    match laser with
-    | Some _ as r -> r
-    | None ->
-        (* Bent pipe: relay neighbour with a foot in the target shell. *)
-        List.find_map
-          (fun (relay, li) ->
-            match snap.Snapshot.links.(li).Link.kind with
-            | Link.Relay ->
-                List.find_map
-                  (fun (gamma, _) ->
-                    if gamma <> node && shell_of c gamma = target_shell then
-                      Some [ node; relay; gamma ]
-                    else None)
-                  (Snapshot.neighbors snap relay)
-            | Link.Intra_orbit | Link.Inter_orbit | Link.Cross_shell_laser ->
-                None)
-          (Snapshot.neighbors snap node)
-  in
-  match
-    Dijkstra.bfs_nearest snap ~src:from
-      ~follow:same_shell_link
-      ~accept:(fun node -> crossing_of node <> None)
-  with
-  | None -> None
-  | Some (alpha, _) -> Option.map (fun cr -> (alpha, cr)) (crossing_of alpha)
 
 let dedup_paths paths =
   let seen = Hashtbl.create 16 in
@@ -194,19 +156,20 @@ let k_shortest c snap ~src ~dst ~k =
               if d_shell > current_shell then current_shell + 1
               else current_shell - 1
             in
-            match find_crossing c snap ~from:current ~target_shell with
+            (* Cross at alpha, the nearest node of this shell holding
+               a crossing; the BFS that finds alpha also returns the
+               same-shell node list current..alpha. *)
+            match
+              Dijkstra.bfs_nearest snap ~src:current ~follow:same_shell_link
+                ~accept:(crossing_of c snap ~target_shell)
+            with
             | None -> []
-            | Some (alpha, crossing) -> (
-                match bfs_intra_path snap current alpha with
-                | None -> []
-                | Some to_alpha ->
-                    (* prefix ends at current = head of to_alpha;
-                       to_alpha ends at alpha = head of crossing. *)
-                    let gamma = List.nth crossing (List.length crossing - 1) in
-                    let joined =
-                      prefix @ List.tl to_alpha @ List.tl crossing
-                    in
-                    walk joined gamma target_shell)
+            | Some (to_alpha, crossing) ->
+                (* prefix ends at current = head of to_alpha;
+                   to_alpha ends at alpha = head of crossing. *)
+                let gamma = List.nth crossing (List.length crossing - 1) in
+                let joined = prefix @ List.tl to_alpha @ List.tl crossing in
+                walk joined gamma target_shell
         in
         walk [ src ] src s_shell |> dedup_paths
         |> List.filter (fun p -> Path.is_loopless p && Path.valid_in snap p)

@@ -39,22 +39,28 @@ let valid_in snap t = Snapshot.path_valid snap t.nodes
 let length_km snap t =
   let total = ref 0.0 in
   for i = 0 to Array.length t.nodes - 2 do
-    match Snapshot.find_link snap t.nodes.(i) t.nodes.(i + 1) with
-    | Some l -> total := !total +. l.Sate_topology.Link.length_km
-    | None -> invalid_arg "Path.length_km: missing hop"
+    let li = Snapshot.link_index snap t.nodes.(i) t.nodes.(i + 1) in
+    if li < 0 then invalid_arg "Path.length_km: missing hop";
+    total := !total +. snap.Snapshot.links.(li).Sate_topology.Link.length_km
   done;
   !total
 
 let delay_ms snap t = length_km snap t /. Geo.speed_of_light_km_s *. 1000.0
 
 let link_indices snap t =
-  Array.init (Array.length t.nodes - 1) (fun i ->
-      let u = t.nodes.(i) and v = t.nodes.(i + 1) in
-      match
-        List.find_opt (fun (nbr, _) -> nbr = v) (Snapshot.neighbors snap u)
-      with
-      | Some (_, li) -> li
-      | None -> invalid_arg "Path.link_indices: missing hop")
+  let hops = Array.length t.nodes - 1 in
+  let links = Array.make hops 0 in
+  let rec fill i =
+    if i = hops then Some links
+    else
+      let li = Snapshot.link_index snap t.nodes.(i) t.nodes.(i + 1) in
+      if li < 0 then None
+      else begin
+        links.(i) <- li;
+        fill (i + 1)
+      end
+  in
+  fill 0
 
 let pp fmt t =
   Format.fprintf fmt "[%s]"

@@ -23,16 +23,20 @@ val is_loopless : t -> bool
 (** No node appears twice. *)
 
 val valid_in : Sate_topology.Snapshot.t -> t -> bool
-(** All consecutive node pairs are linked in the snapshot. *)
+(** All consecutive node pairs are linked in the snapshot
+    ({!Sate_topology.Snapshot.path_valid}). *)
 
 val length_km : Sate_topology.Snapshot.t -> t -> float
-(** Geometric length; raises [Invalid_argument] if a hop is missing. *)
+(** Geometric length, summed hop by hop over the links that
+    {!Sate_topology.Snapshot.link_index} names; raises
+    [Invalid_argument] if a hop is missing. *)
 
 val delay_ms : Sate_topology.Snapshot.t -> t -> float
 (** End-to-end propagation delay. *)
 
-val link_indices : Sate_topology.Snapshot.t -> t -> int array
+val link_indices : Sate_topology.Snapshot.t -> t -> int array option
 (** Indices into [snapshot.links] of every hop (the Phi_pe relation of
-    Appendix A); raises [Invalid_argument] if a hop is missing. *)
+    Appendix A), by {!Sate_topology.Snapshot.link_index}; [None] if a
+    hop is missing, i.e. exactly when {!valid_in} is false. *)
 
 val pp : Format.formatter -> t -> unit

@@ -39,10 +39,10 @@ let k_shortest ?(weight = Dijkstra.Hops) snap ~src ~dst ~k =
             List.iter
               (fun (p : Path.t) ->
                 let pn = p.Path.nodes in
-                if Array.length pn > i && Array.sub pn 0 (i + 1) = root then begin
-                  let u = pn.(i) and v = pn.(i + 1) in
-                  Hashtbl.replace banned_links (min u v, max u v) ()
-                end)
+                if Array.length pn > i && Array.sub pn 0 (i + 1) = root then
+                  Hashtbl.replace banned_links
+                    (Snapshot.link_index snap pn.(i) pn.(i + 1))
+                    ())
               !accepted;
             let banned_nodes = Hashtbl.create 16 in
             Array.iteri (fun j n -> if j < i then Hashtbl.replace banned_nodes n ()) nodes;

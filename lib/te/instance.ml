@@ -18,6 +18,25 @@ type t = {
   down_caps : float array;
 }
 
+(* Each stored path resolved once to its link indices; a path with a
+   missing hop is dropped.  Kept entries are packed to the front in
+   place: slot [!kept] is never ahead of the slot being read. *)
+let resolve snapshot stored =
+  let paths = Array.of_list stored in
+  let links = Array.make (Array.length paths) [||] in
+  let kept = ref 0 in
+  Array.iter
+    (fun p ->
+      match Path.link_indices snapshot p with
+      | Some l ->
+          paths.(!kept) <- p;
+          links.(!kept) <- l;
+          incr kept
+      | None -> ())
+    paths;
+  if !kept = Array.length paths then (paths, links)
+  else (Array.sub paths 0 !kept, Array.sub links 0 !kept)
+
 let make ?up_caps ?down_caps snapshot demand path_db =
   let n = Snapshot.num_nodes snapshot in
   let caps = function
@@ -32,12 +51,9 @@ let make ?up_caps ?down_caps snapshot demand path_db =
   let commodities =
     Array.map
       (fun (e : Demand.entry) ->
-        let paths =
-          Path_db.paths path_db ~src:e.Demand.src ~dst:e.Demand.dst
-          |> List.filter (Path.valid_in snapshot)
-          |> Array.of_list
+        let paths, path_links =
+          resolve snapshot (Path_db.paths path_db ~src:e.Demand.src ~dst:e.Demand.dst)
         in
-        let path_links = Array.map (Path.link_indices snapshot) paths in
         { src = e.Demand.src;
           dst = e.Demand.dst;
           demand_mbps = e.Demand.demand_mbps;

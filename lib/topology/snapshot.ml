@@ -40,10 +40,11 @@ let position t i =
 
 let neighbors t i = t.adj.(i)
 
-let find_link t u v =
-  List.find_map
-    (fun (nbr, li) -> if nbr = v then Some t.links.(li) else None)
-    t.adj.(u)
+let rec find_index v = function
+  | [] -> -1
+  | (nbr, li) :: rest -> if nbr = v then li else find_index v rest
+
+let link_index t u v = find_index v t.adj.(u)
 
 let link_keys t =
   let keys = Array.map Link.key t.links in
@@ -68,14 +69,10 @@ let remove_links t pairs =
   make ~time_s:t.time_s ~num_sats:t.num_sats ~sat_positions:t.sat_positions
     ~relay_positions:t.relay_positions ~links
 
-let rec has_neighbour v = function
-  | [] -> false
-  | (nbr, _) :: rest -> nbr = v || has_neighbour v rest
-
 let path_valid t nodes =
   let last = Array.length nodes - 1 in
   let i = ref 0 in
-  while !i < last && has_neighbour nodes.(!i + 1) t.adj.(nodes.(!i)) do
+  while !i < last && link_index t nodes.(!i) nodes.(!i + 1) >= 0 do
     incr i
   done;
   !i >= last

@@ -35,8 +35,11 @@ val position : t -> int -> Sate_geo.Geo.vec3
 val neighbors : t -> int -> (int * int) list
 (** [(neighbour, link_index)] pairs of a node. *)
 
-val find_link : t -> int -> int -> Link.t option
-(** The link joining two nodes, if present. *)
+val link_index : t -> int -> int -> int
+(** [link_index t u v] is the index into [t.links] of the link joining
+    [u] and [v] (either order), or [-1] when there is none.  The one
+    hop-to-link lookup: [make] rejects duplicate endpoint pairs, so a
+    node pair has at most one link.  Allocates nothing. *)
 
 val link_keys : t -> (int * int) array
 (** Sorted canonical endpoint pairs; two snapshots with equal key
@@ -52,6 +55,6 @@ val remove_links : t -> (int * int) list -> t
     injection); unknown pairs are ignored. *)
 
 val path_valid : t -> int array -> bool
-(** Whether consecutive nodes of a path are all connected in this
-    snapshot.  Allocates nothing: it runs for every stored path in
+(** Whether every consecutive node pair of a path has a
+    {!link_index}.  Allocates nothing: it runs for every stored path in
     each round's path-database update. *)

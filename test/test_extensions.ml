@@ -1,10 +1,6 @@
-(* Tests for the extension surface: demand estimation (Appendix D),
-   fairness objectives (Eq. 3 / Appendix H.4) and fine-tuning
-   (Sec. 7). *)
+(* Tests for the extension surface: fairness objectives (Eq. 3 /
+   Appendix H.4) and fine-tuning (Sec. 7). *)
 
-module Estimator = Sate_traffic.Estimator
-module Flow_class = Sate_traffic.Flow_class
-module Demand = Sate_traffic.Demand
 module Max_min = Sate_baselines.Max_min
 module Ecmp_wf = Sate_baselines.Ecmp_wf
 module Lp_solver = Sate_te.Lp_solver
@@ -15,54 +11,6 @@ module Geo = Sate_geo.Geo
 module Model = Sate_gnn.Model
 module Trainer = Sate_gnn.Trainer
 module Stats = Sate_util.Stats
-
-(* --- Appendix D demand estimation --- *)
-
-let test_estimator_persistent () =
-  List.iter
-    (fun cls ->
-      Alcotest.(check (float 1e-9))
-        (Flow_class.to_string cls)
-        (Flow_class.demand_mbps cls)
-        (Estimator.estimate_mbps ~now_s:100.0 ~start_s:0.0 (Estimator.Persistent cls)))
-    Flow_class.all
-
-let test_estimator_background () =
-  (* 100 MB due in 100 s from start, estimated at t = 20: 800 Mbit
-     over 80 s = 10 Mbps. *)
-  let d =
-    Estimator.estimate_mbps ~now_s:20.0 ~start_s:0.0
-      (Estimator.Background { volume_mb = 100.0; deadline_s = 100.0 })
-  in
-  Alcotest.(check (float 1e-9)) "10 Mbps" 10.0 d;
-  (* Past the deadline the estimate collapses to zero. *)
-  let late =
-    Estimator.estimate_mbps ~now_s:200.0 ~start_s:0.0
-      (Estimator.Background { volume_mb = 100.0; deadline_s = 100.0 })
-  in
-  Alcotest.(check (float 0.0)) "expired" 0.0 late
-
-let test_estimator_background_urgency () =
-  (* The same transfer demands more as its deadline nears. *)
-  let at now =
-    Estimator.estimate_mbps ~now_s:now ~start_s:0.0
-      (Estimator.Background { volume_mb = 50.0; deadline_s = 100.0 })
-  in
-  Alcotest.(check bool) "urgency grows" true (at 80.0 > at 10.0)
-
-let test_estimator_bursty_implicit () =
-  Alcotest.(check (float 0.0)) "bursty unaccounted" 0.0
-    (Estimator.estimate_mbps ~now_s:0.0 ~start_s:0.0 Estimator.Bursty)
-
-let test_estimator_aggregate () =
-  let flows =
-    [ (0, 1, 0.0, Estimator.Persistent Flow_class.Video);
-      (0, 1, 0.0, Estimator.Persistent Flow_class.Voice);
-      (2, 3, 0.0, Estimator.Bursty) ]
-  in
-  let d = Estimator.aggregate ~now_s:10.0 flows ~num_sats:5 in
-  Alcotest.(check int) "bursty entry dropped" 1 (Demand.num_entries d);
-  Alcotest.(check (float 1e-9)) "aggregated" 8.064 (Demand.find d ~src:0 ~dst:1)
 
 (* --- Fairness: max-min filling and log-utility LP --- *)
 
@@ -130,12 +78,7 @@ let test_fine_tune_improves_on_target () =
     (after >= before -. 0.05)
 
 let suite =
-  [ Alcotest.test_case "estimator persistent" `Quick test_estimator_persistent;
-    Alcotest.test_case "estimator background" `Quick test_estimator_background;
-    Alcotest.test_case "estimator urgency" `Quick test_estimator_background_urgency;
-    Alcotest.test_case "estimator bursty" `Quick test_estimator_bursty_implicit;
-    Alcotest.test_case "estimator aggregate" `Quick test_estimator_aggregate;
-    Alcotest.test_case "max-min feasible" `Quick test_max_min_feasible;
+  [ Alcotest.test_case "max-min feasible" `Quick test_max_min_feasible;
     Alcotest.test_case "max-min starvation" `Quick test_max_min_reduces_starvation;
     Alcotest.test_case "max-min vs ecmp" `Quick test_max_min_uses_all_paths;
     Alcotest.test_case "log utility fair" `Quick test_log_utility_feasible_and_fair;

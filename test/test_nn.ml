@@ -18,6 +18,9 @@ let rand_tensor seed rows cols =
   let rng = Rng.create seed in
   Tensor.init rows cols (fun _ _ -> Rng.uniform rng (-1.0) 1.0)
 
+(* Each op alone, operand by operand, is checked by
+   [Grad_check.all_ops] ("check grad all ops"); the cases here are the
+   graphs it lacks: a leaf used twice, a diamond, a composite. *)
 let test_grad_add_mul () =
   gradient_check "sum((x + x) * x)"
     (fun x -> A.sum (A.mul (A.add x x) x))
@@ -29,78 +32,6 @@ let test_grad_add_mul () =
       let h = A.sigmoid (A.matmul x (A.const (rand_tensor 36 2 2))) in
       A.sum (A.mul (A.exp h) (A.square h)))
     (rand_tensor 37 3 2)
-
-let test_grad_matmul () =
-  let w = rand_tensor 2 4 3 in
-  gradient_check "sum(x W)" (fun x -> A.sum (A.matmul x (A.const w))) (rand_tensor 3 2 4)
-
-let test_grad_matmul_left () =
-  let x = rand_tensor 4 2 3 in
-  gradient_check "sum(X w) wrt w"
-    (fun w -> A.sum (A.matmul (A.const x) w))
-    (rand_tensor 5 3 2)
-
-let test_grad_leaky_relu () =
-  gradient_check "sum(leaky_relu(x)^2)"
-    (fun x -> A.sum (A.square (A.leaky_relu x)))
-    (rand_tensor 6 3 3)
-
-let test_grad_sigmoid () =
-  gradient_check "sum(sigmoid(x))" (fun x -> A.sum (A.sigmoid x)) (rand_tensor 7 2 3)
-
-let test_grad_exp_clamp () =
-  gradient_check "sum(exp(clamp(x)))"
-    (fun x -> A.sum (A.exp (A.clamp_max 0.5 x)))
-    (rand_tensor 8 2 3)
-
-let test_grad_gather () =
-  gradient_check "sum(gather(x)^2)"
-    (fun x -> A.sum (A.square (A.gather_rows x [| 0; 2; 0; 1 |])))
-    (rand_tensor 9 3 2)
-
-let test_grad_scatter () =
-  gradient_check "sum(scatter(x)^2)"
-    (fun x -> A.sum (A.square (A.scatter_add_rows x [| 1; 0; 1 |] ~rows:2)))
-    (rand_tensor 10 3 2)
-
-let test_grad_segment_softmax () =
-  gradient_check "softmax attention"
-    (fun x ->
-      let alpha = A.segment_softmax x [| 0; 0; 1; 1; 1 |] in
-      A.sum (A.mul alpha (A.const (rand_tensor 11 5 1))))
-    (rand_tensor 12 5 1)
-
-let test_grad_col_mul () =
-  let v = rand_tensor 13 4 1 in
-  gradient_check "col_mul wrt matrix"
-    (fun x -> A.sum (A.col_mul x (A.const v)))
-    (rand_tensor 14 4 3);
-  let m = rand_tensor 15 4 3 in
-  gradient_check "col_mul wrt vector"
-    (fun v -> A.sum (A.square (A.col_mul (A.const m) v)))
-    (rand_tensor 16 4 1)
-
-let test_grad_add_rowvec () =
-  let m = rand_tensor 17 3 4 in
-  gradient_check "add_rowvec wrt vector"
-    (fun v -> A.sum (A.square (A.add_rowvec (A.const m) v)))
-    (rand_tensor 18 1 4)
-
-let test_grad_concat () =
-  gradient_check "concat_cols"
-    (fun x -> A.sum (A.square (A.concat_cols [ x; A.const (rand_tensor 19 3 2) ])))
-    (rand_tensor 20 3 2)
-
-let test_grad_row_sums () =
-  gradient_check "row_sums" (fun x -> A.sum (A.square (A.row_sums x))) (rand_tensor 21 3 4)
-
-let test_grad_div_scalar () =
-  gradient_check "div_scalar"
-    (fun x -> A.sum (A.div_scalar x (A.scalar 2.5)))
-    (rand_tensor 22 2 3)
-
-let test_grad_mean () =
-  gradient_check "mean" (fun x -> A.mean (A.square x)) (rand_tensor 23 3 3)
 
 let test_grad_composite_attention () =
   (* A miniature GAT-like computation: the composite must also pass. *)
@@ -258,21 +189,7 @@ let test_grad_accumulation_zeroed () =
 
 let suite =
   [ Alcotest.test_case "grad add/mul" `Quick test_grad_add_mul;
-    Alcotest.test_case "grad matmul right" `Quick test_grad_matmul;
-    Alcotest.test_case "grad matmul left" `Quick test_grad_matmul_left;
-    Alcotest.test_case "grad leaky_relu" `Quick test_grad_leaky_relu;
-    Alcotest.test_case "grad sigmoid" `Quick test_grad_sigmoid;
-    Alcotest.test_case "grad exp/clamp" `Quick test_grad_exp_clamp;
-    Alcotest.test_case "grad gather" `Quick test_grad_gather;
-    Alcotest.test_case "grad scatter" `Quick test_grad_scatter;
-    Alcotest.test_case "grad segment softmax" `Quick test_grad_segment_softmax;
     Alcotest.test_case "segment softmax negative id" `Quick test_segment_softmax_negative_id;
-    Alcotest.test_case "grad col_mul" `Quick test_grad_col_mul;
-    Alcotest.test_case "grad add_rowvec" `Quick test_grad_add_rowvec;
-    Alcotest.test_case "grad concat" `Quick test_grad_concat;
-    Alcotest.test_case "grad row_sums" `Quick test_grad_row_sums;
-    Alcotest.test_case "grad div_scalar" `Quick test_grad_div_scalar;
-    Alcotest.test_case "grad mean" `Quick test_grad_mean;
     Alcotest.test_case "grad attention composite" `Quick test_grad_composite_attention;
     Alcotest.test_case "backward scalar only" `Quick test_backward_requires_scalar;
     Alcotest.test_case "linear shapes" `Quick test_linear_shapes;

@@ -274,15 +274,84 @@ let test_path_db_update_after_break () =
 let test_link_indices () =
   let s = iridium_snapshot () in
   match Dijkstra.shortest s ~src:0 ~dst:10 with
-  | Some p ->
-      let links = Path.link_indices s p in
-      Alcotest.(check int) "one index per hop" (Path.hops p) (Array.length links);
-      Array.iter
-        (fun li ->
-          Alcotest.(check bool) "index in range" true
-            (li >= 0 && li < Array.length s.Snapshot.links))
-        links
+  | Some p -> (
+      (match Path.link_indices s p with
+      | Some links ->
+          Alcotest.(check int) "one index per hop" (Path.hops p) (Array.length links);
+          Array.iter
+            (fun li ->
+              Alcotest.(check bool) "index in range" true
+                (li >= 0 && li < Array.length s.Snapshot.links))
+            links
+      | None -> Alcotest.fail "valid path has a missing hop");
+      (* Once a hop's link is gone: None, exactly when valid_in fails. *)
+      match Path.to_list p with
+      | a :: b :: _ ->
+          let degraded = Snapshot.remove_links s [ (a, b) ] in
+          Alcotest.(check bool) "None on a missing hop" true
+            (Path.link_indices degraded p = None);
+          Alcotest.(check bool) "agrees with valid_in" false (Path.valid_in degraded p)
+      | _ -> Alcotest.fail "a path has two nodes")
   | None -> Alcotest.fail "unreachable"
+
+(* Banning the link index of one hop of the shortest path: the new
+   route never uses that link. *)
+let test_dijkstra_banned_link () =
+  let s = iridium_snapshot () in
+  let links_of p = Option.get (Path.link_indices s p) in
+  match Dijkstra.shortest s ~src:0 ~dst:30 with
+  | None -> Alcotest.fail "unreachable"
+  | Some p -> (
+      let first = links_of p in
+      let banned = first.(Array.length first / 2) in
+      match Dijkstra.shortest ~banned_links:(fun li -> li = banned) s ~src:0 ~dst:30 with
+      | None -> Alcotest.fail "one banned link cannot cut iridium"
+      | Some q ->
+          Alcotest.(check bool) "avoids the banned link" false
+            (Array.mem banned (links_of q));
+          Alcotest.(check bool) "not shorter" true (Path.hops q >= Path.hops p))
+
+(* The BFS returns the path it walked: from src, along followed links
+   only, to the first accepted node, at its BFS hop distance. *)
+let test_bfs_nearest_path () =
+  let s = iridium_snapshot () in
+  let follow (l : Link.t) = l.Link.kind = Link.Intra_orbit in
+  (* Reference hop distances over the followed links alone. *)
+  let unfollowed =
+    Array.to_list s.Snapshot.links
+    |> List.filter (fun l -> not (follow l))
+    |> List.map Link.key
+  in
+  let dist =
+    Dijkstra.distances (Snapshot.remove_links s unfollowed) ~sources:[ (0, 0.0) ]
+  in
+  (* Plane 1 is one unfollowed inter-orbit hop away, so only the
+     plane-0 target is reachable along followed links. *)
+  let id plane slot = Constellation.id_of_coord iridium { Constellation.shell = 0; plane; slot } in
+  let targets = id 0 5 :: List.init 11 (id 1) in
+  let accept v = if List.mem v targets then Some (v * 10) else None in
+  match Dijkstra.bfs_nearest s ~src:0 ~follow ~accept with
+  | None -> Alcotest.fail "a target shares the source's plane"
+  | Some (nodes, found) ->
+      let last = List.nth nodes (List.length nodes - 1) in
+      Alcotest.(check int) "starts at src" 0 (List.hd nodes);
+      Alcotest.(check int) "returns what accept found" (last * 10) found;
+      let nearest = List.fold_left (fun m v -> Float.min m dist.(v)) Float.infinity targets in
+      Alcotest.(check (float 0.0)) "first accepted is nearest" nearest dist.(last);
+      Alcotest.(check (float 0.0)) "hop distance" dist.(last)
+        (float_of_int (List.length nodes - 1));
+      let rec hops = function
+        | u :: (v :: _ as rest) ->
+            let li = Snapshot.link_index s u v in
+            Alcotest.(check bool) "hop is a link" true (li >= 0);
+            Alcotest.(check bool) "hop is followed" true (follow s.Snapshot.links.(li));
+            hops rest
+        | [ _ ] | [] -> ()
+      in
+      hops nodes;
+      (match Dijkstra.bfs_nearest s ~src:5 ~follow ~accept:(fun v -> Some v) with
+      | Some ([ 5 ], 5) -> ()
+      | _ -> Alcotest.fail "an accepted source is its own one-node path")
 
 let prop_grid_candidates_minimal =
   (* All staircase candidates have exactly the wrapped Manhattan hop
@@ -329,4 +398,6 @@ let suite =
     Alcotest.test_case "link indices" `Quick test_link_indices;
     QCheck_alcotest.to_alcotest prop_grid_candidates_minimal;
     QCheck_alcotest.to_alcotest prop_yen_loopless;
-    Alcotest.test_case "dijkstra multi-source" `Quick test_dijkstra_multi_source ]
+    Alcotest.test_case "dijkstra multi-source" `Quick test_dijkstra_multi_source;
+    Alcotest.test_case "dijkstra banned link" `Quick test_dijkstra_banned_link;
+    Alcotest.test_case "bfs nearest path" `Quick test_bfs_nearest_path ]

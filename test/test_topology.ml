@@ -25,8 +25,8 @@ let square_snapshot () =
 let test_snapshot_adjacency () =
   let s = square_snapshot () in
   Alcotest.(check int) "degree" 2 (Snapshot.degree s 0);
-  Alcotest.(check bool) "0-1 linked" true (Snapshot.find_link s 0 1 <> None);
-  Alcotest.(check bool) "0-2 not linked" true (Snapshot.find_link s 0 2 = None);
+  Alcotest.(check bool) "0-1 linked" true (Snapshot.link_index s 0 1 >= 0);
+  Alcotest.(check bool) "0-2 not linked" true (Snapshot.link_index s 0 2 < 0);
   Alcotest.(check int) "nodes" 4 (Snapshot.num_nodes s)
 
 let test_snapshot_rejects_self_loop () =
@@ -75,6 +75,24 @@ let test_path_valid () =
   done;
   let words = Gc.minor_words () -. before in
   if words > 16.0 then Alcotest.failf "path_valid allocated %.0f words in 1000 calls" words
+
+(* The one hop-to-link lookup: the same index from either end, -1 for
+   a missing hop, and no allocation. *)
+let test_link_index () =
+  let s = square_snapshot () in
+  Array.iteri
+    (fun i l ->
+      Alcotest.(check int) "u -> v" i (Snapshot.link_index s l.Link.u l.Link.v);
+      Alcotest.(check int) "v -> u" i (Snapshot.link_index s l.Link.v l.Link.u))
+    s.Snapshot.links;
+  Alcotest.(check int) "chord absent" (-1) (Snapshot.link_index s 0 2);
+  Alcotest.(check int) "chord absent reversed" (-1) (Snapshot.link_index s 2 0);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Snapshot.link_index s 3 0))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 16.0 then Alcotest.failf "link_index allocated %.0f words in 1000 calls" words
 
 let test_spatial_index_vs_brute_force () =
   let rng = Rng.create 99 in
@@ -302,4 +320,5 @@ let suite =
     Alcotest.test_case "holding times" `Quick test_holding_times;
     Alcotest.test_case "exclusion monotonic" `Quick test_exclusion_monotonic;
     Alcotest.test_case "path obsolescence" `Quick test_path_obsolescence;
-    Alcotest.test_case "random failures" `Quick test_random_failures ]
+    Alcotest.test_case "random failures" `Quick test_random_failures;
+    Alcotest.test_case "link index" `Quick test_link_index ]
