@@ -3,7 +3,6 @@ module A = Sate_nn.Autodiff
 module Layers = Sate_nn.Layers
 module Optimizer = Sate_nn.Optimizer
 module Rng = Sate_util.Rng
-module Instance = Sate_te.Instance
 module Allocation = Sate_te.Allocation
 module Model = Sate_gnn.Model
 module Te_graph = Sate_gnn.Te_graph
@@ -15,16 +14,14 @@ type t = {
   lift : Layers.linear; (* ratio -> embedding for the transformer stage *)
   path_attention : Gat.t;
   readout : Layers.linear;
-  dim : int;
 }
 
-let create ?(hyper = Model.default_hyper) ?(seed = 13) () =
+let create ?(seed = 13) () =
   let rng = Rng.create (seed + 1000) in
-  { base = Model.create ~hyper ~seed ();
-    lift = Layers.linear rng ~in_dim:1 ~out_dim:hyper.Model.dim;
-    path_attention = Gat.create rng ~dim:hyper.Model.dim ~heads:hyper.Model.heads;
-    readout = Layers.linear rng ~in_dim:hyper.Model.dim ~out_dim:1;
-    dim = hyper.Model.dim }
+  { base = Model.create ~seed ();
+    lift = Layers.linear rng ~in_dim:1 ~out_dim:Model.dim;
+    path_attention = Gat.create rng ~dim:Model.dim ~heads:Model.heads;
+    readout = Layers.linear rng ~in_dim:Model.dim ~out_dim:1 }
 
 let params t =
   Model.params t.base
@@ -78,12 +75,12 @@ let forward t (g : Te_graph.t) =
     A.sigmoid (Layers.forward_linear t.readout x')
   end
 
-let train ?(epochs = 20) ?(lr = 2e-3) t instances =
+let train ?(epochs = 20) t instances =
   let t0 = Unix.gettimeofday () in
   let samples =
     List.map (Trainer.make_sample ~objective:Sate_te.Lp_solver.Min_mlu) instances
   in
-  let opt = Optimizer.adam ~lr (params t) in
+  let opt = Optimizer.adam ~lr:2e-3 (params t) in
   for _ = 1 to epochs do
     List.iter
       (fun { Trainer.graph = g; labels; _ } ->
@@ -97,18 +94,6 @@ let train ?(epochs = 20) ?(lr = 2e-3) t instances =
   done;
   Unix.gettimeofday () -. t0
 
-let predict t (inst : Instance.t) =
-  let g = Te_graph.of_instance inst in
-  let ratios = forward t g in
-  let alloc = Allocation.zeros inst in
-  let p = ref 0 in
-  Array.iteri
-    (fun f rates ->
-      let demand = inst.Instance.commodities.(f).Instance.demand_mbps in
-      Array.iteri
-        (fun pi _ ->
-          rates.(pi) <- demand *. Tensor.get ratios.A.value !p 0;
-          incr p)
-        rates)
-    alloc;
-  Allocation.trim inst alloc
+let predict t inst =
+  let ratios = forward t (Te_graph.of_instance inst) in
+  Allocation.trim inst (Model.decode inst ratios.A.value)

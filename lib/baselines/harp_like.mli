@@ -16,14 +16,15 @@
 
 type t
 
-val create : ?hyper:Sate_gnn.Model.hyper -> ?seed:int -> unit -> t
+val create : ?seed:int -> unit -> t
+(** A SaTE {!Sate_gnn.Model} (default hyperparameters) plus the
+    edge-path transformer stage, both {!Sate_gnn.Model.dim} wide. *)
 
 val num_parameters : t -> int
 
-val train :
-  ?epochs:int -> ?lr:float -> t -> Sate_te.Instance.t list -> float
-(** Supervised training against MLU-optimal LP labels; returns
-    wall-clock seconds. *)
+val train : ?epochs:int -> t -> Sate_te.Instance.t list -> float
+(** Supervised training against MLU-optimal LP labels (Adam, learning
+    rate 2e-3); returns wall-clock seconds. *)
 
 val predict : t -> Sate_te.Instance.t -> Sate_te.Allocation.t
 (** Trimmed allocation (generalises across topologies like any GNN,

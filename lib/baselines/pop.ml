@@ -15,12 +15,12 @@ let scale_snapshot (snap : Snapshot.t) factor =
     ~sat_positions:snap.Snapshot.sat_positions
     ~relay_positions:snap.Snapshot.relay_positions ~links
 
-let solve_timed ?(k = 4) ?(seed = 11) (inst : Instance.t) =
+let solve_timed ?(k = 4) (inst : Instance.t) =
   let nc = Array.length inst.Instance.commodities in
   if nc = 0 then (Allocation.zeros inst, 0.0)
   else begin
     let k = max 1 (min k nc) in
-    let rng = Rng.create seed in
+    let rng = Rng.create 11 in
     let assignment = Array.init nc (fun _ -> Rng.int rng k) in
     let factor = 1.0 /. float_of_int k in
     let scaled_snap = scale_snapshot inst.Instance.snapshot factor in
@@ -54,4 +54,4 @@ let solve_timed ?(k = 4) ?(seed = 11) (inst : Instance.t) =
     (alloc, !worst_ms)
   end
 
-let solve ?k ?seed inst = fst (solve_timed ?k ?seed inst)
+let solve ?k inst = fst (solve_timed ?k inst)

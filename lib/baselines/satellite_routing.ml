@@ -2,8 +2,8 @@ module Instance = Sate_te.Instance
 module Allocation = Sate_te.Allocation
 module Rng = Sate_util.Rng
 
-let solve ?(seed = 23) (inst : Instance.t) =
-  let rng = Rng.create seed in
+let solve (inst : Instance.t) =
+  let rng = Rng.create 23 in
   let alloc = Allocation.zeros inst in
   (* Uncoordinated greedy: each commodity pushes its whole demand on
      one shortest candidate path, occasionally deflecting to a random

@@ -16,8 +16,8 @@ type t = {
 (* Encoder width, scaled to CPU budgets. *)
 let hidden = 8
 
-let create ?(seed = 5) ~num_sats ~k () =
-  let rng = Rng.create seed in
+let create ~num_sats ~k () =
+  let rng = Rng.create 5 in
   let in_dim = num_sats * num_sats * (1 + k) in
   let out_dim = num_sats * num_sats * k in
   { num_sats;
@@ -75,7 +75,7 @@ let check_scale t (inst : Instance.t) =
           cannot transfer)"
          t.num_sats n)
 
-let train ?(epochs = 20) ?(lr = 2e-3) t instances =
+let train ?(epochs = 20) t instances =
   let t0 = Unix.gettimeofday () in
   List.iter (check_scale t) instances;
   let samples =
@@ -85,7 +85,7 @@ let train ?(epochs = 20) ?(lr = 2e-3) t instances =
         (dense_input t inst, dense_labels t inst label))
       instances
   in
-  let opt = Optimizer.adam ~lr (params t) in
+  let opt = Optimizer.adam ~lr:2e-3 (params t) in
   for _ = 1 to epochs do
     List.iter
       (fun (input, label) ->

@@ -20,15 +20,15 @@
 
 type t
 
-val create : ?seed:int -> num_sats:int -> k:int -> unit -> t
-(** A fresh model with an 8-wide encoder (scaled to CPU budgets). *)
+val create : num_sats:int -> k:int -> unit -> t
+(** A fresh model with an 8-wide encoder (scaled to CPU budgets),
+    initialised from seed 5. *)
 
 val num_parameters : t -> int
 
-val train :
-  ?epochs:int -> ?lr:float -> t -> Sate_te.Instance.t list -> float
-(** Supervised training against LP labels on the dense grid; returns
-    wall-clock seconds. *)
+val train : ?epochs:int -> t -> Sate_te.Instance.t list -> float
+(** Supervised training against LP labels on the dense grid (Adam,
+    learning rate 2e-3); returns wall-clock seconds. *)
 
 val predict : t -> Sate_te.Instance.t -> Sate_te.Allocation.t
 (** Trimmed allocation.  Raises [Invalid_argument] if the instance's

@@ -60,9 +60,9 @@ let check_inplace ~tol ~name ~param ~forward =
     checked = Array.length data;
     passed = !max_rel <= tol }
 
-let check ?(tol = default_tol) ~name ~build x0 =
+let check ~name ~build x0 =
   let leaf = A.leaf (Tensor.copy x0) in
-  check_inplace ~tol ~name ~param:leaf ~forward:(fun () -> build leaf)
+  check_inplace ~tol:default_tol ~name ~param:leaf ~forward:(fun () -> build leaf)
 
 let rand rng rows cols =
   Tensor.init rows cols (fun _ _ -> Rng.uniform rng (-1.0) 1.0)
@@ -75,7 +75,7 @@ let rand_away rng rows cols =
       let v = Rng.uniform rng 0.2 1.0 in
       if Rng.bool rng then v else -.v)
 
-let all_ops ?(seed = 7) ?tol () =
+let all_ops ?(seed = 7) () =
   let rng = Rng.create seed in
   let w32 = rand rng 3 2 in
   let w23 = rand rng 2 3 in
@@ -166,11 +166,15 @@ let all_ops ?(seed = 7) ?tol () =
         Tensor.copy a51 ) ]
   in
   List.map
-    (fun (name, build, x0) -> check ?tol ~name ~build x0)
+    (fun (name, build, x0) -> check ~name ~build x0)
     (cases @ edge_cases)
 
-let gat_layer ?(seed = 11) ?(tol = 1e-3) ?(attention = true) () =
-  let rng = Rng.create seed in
+(* Looser than [default_tol]: the composite passes through several
+   LeakyReLU kinks. *)
+let gat_tol = 1e-3
+
+let gat_layer ?(attention = true) () =
+  let rng = Rng.create 11 in
   let dim = 4 and heads = 2 in
   let gat = Gat.create ~attention rng ~dim ~heads in
   let n_src = 5 and n_dst = 4 in
@@ -184,5 +188,5 @@ let gat_layer ?(seed = 11) ?(tol = 1e-3) ?(attention = true) () =
     :: List.mapi (fun i p -> (Printf.sprintf "gat:param%d" i, p)) (Gat.params gat)
   in
   List.map
-    (fun (name, param) -> check_inplace ~tol ~name ~param ~forward)
+    (fun (name, param) -> check_inplace ~tol:gat_tol ~name ~param ~forward)
     targets

@@ -31,22 +31,22 @@ val result_to_string : result -> string
 val failures : result list -> result list
 (** The subset that did not pass. *)
 
-val check : ?tol:float -> name:string -> build:(A.t -> A.t) -> Tensor.t -> result
+val check : name:string -> build:(A.t -> A.t) -> Tensor.t -> result
 (** [check ~build x0] makes a fresh leaf from [x0] and verifies the
     gradient of the scalar [build leaf] with respect to it, with step
-    [eps = 1e-5] and tolerance [tol] (default {!default_tol}).  The
+    [eps = 1e-5] and tolerance {!default_tol}.  The
     leaf's value is perturbed in place and restored, so [build] must
     rebuild the graph from the leaf on every call. *)
 
-val all_ops : ?seed:int -> ?tol:float -> unit -> result list
+val all_ops : ?seed:int -> unit -> result list
 (** One check per op exported by {!Sate_nn.Autodiff} (both operands
     where an op has two or three differentiable inputs).  Inputs for
     ops with kinks (relu, leaky_relu, clamp_max, edge_scores) are
     sampled away from the kink so the finite difference is valid. *)
 
-val gat_layer : ?seed:int -> ?tol:float -> ?attention:bool -> unit -> result list
-(** End-to-end checks of the {!Sate_gnn.Gat} block: gradient of
-    [sum (forward ^ 2)] with respect to the source/destination inputs
-    and every parameter of every head.  Default tolerance is looser
-    (1e-3) because the composite passes through several LeakyReLU
-    kinks. *)
+val gat_layer : ?attention:bool -> unit -> result list
+(** End-to-end checks of the {!Sate_gnn.Gat} block (inputs drawn from
+    seed 11): gradient of [sum (forward ^ 2)] with respect to the
+    source/destination inputs and every parameter of every head.  The
+    tolerance is looser (1e-3) because the composite passes through
+    several LeakyReLU kinks. *)

@@ -6,25 +6,18 @@ module Instance = Sate_te.Instance
 module Par = Sate_par.Par
 
 type hyper = {
-  dim : int;
-  heads : int;
-  r1_layers : int;
-  r2_layers : int;
-  r3_layers : int;
-  decoder_hidden : int;
   attention : bool;
   with_access_relation : bool;
 }
 
-let default_hyper =
-  { dim = 32;
-    heads = 2;
-    r1_layers = 2;
-    r2_layers = 2;
-    r3_layers = 2;
-    decoder_hidden = 64;
-    attention = true;
-    with_access_relation = false }
+let default_hyper = { attention = true; with_access_relation = false }
+
+(* Width d (the paper's 768 scaled to CPU), attention heads, GAT
+   blocks per module (R1, R2, R3) and decoder hidden width. *)
+let dim = 32
+let heads = 2
+let layers = 2
+let decoder_hidden = 64
 
 type t = {
   hyper : hyper;
@@ -43,21 +36,20 @@ type t = {
 
 let create ?(hyper = default_hyper) ~seed () =
   let rng = Rng.create seed in
-  let gats n = Array.init n (fun _ -> Gat.create ~attention:hyper.attention rng ~dim:hyper.dim ~heads:hyper.heads) in
+  let gats n = Array.init n (fun _ -> Gat.create ~attention:hyper.attention rng ~dim ~heads) in
   { hyper;
     seed;
-    w_ne1 = A.leaf (Tensor.xavier rng 1 hyper.dim);
-    w_ne2 = A.leaf (Tensor.xavier rng 1 hyper.dim);
-    w_ne3 = A.leaf (Tensor.xavier rng 1 hyper.dim);
-    r1 = gats hyper.r1_layers;
-    r2_path_to_sat = gats hyper.r2_layers;
-    r2_sat_to_path = gats hyper.r2_layers;
-    r3_path_to_traffic = gats hyper.r3_layers;
-    r3_traffic_to_path = gats hyper.r3_layers;
+    w_ne1 = A.leaf (Tensor.xavier rng 1 dim);
+    w_ne2 = A.leaf (Tensor.xavier rng 1 dim);
+    w_ne3 = A.leaf (Tensor.xavier rng 1 dim);
+    r1 = gats layers;
+    r2_path_to_sat = gats layers;
+    r2_sat_to_path = gats layers;
+    r3_path_to_traffic = gats layers;
+    r3_traffic_to_path = gats layers;
     access_traffic_to_sat =
       (if hyper.with_access_relation then gats 1 else [||]);
-    decoder =
-      Layers.mlp rng ~dims:[ 2 * hyper.dim; hyper.decoder_hidden; 1 ] }
+    decoder = Layers.mlp rng ~dims:[ 2 * dim; decoder_hidden; 1 ] }
 
 let hyper t = t.hyper
 
@@ -105,7 +97,7 @@ let forward ?(parallel = false) t (g : Te_graph.t) =
           t.access_traffic_to_sat
     | None -> ());
     (* GNN for R2: satellites and paths updated concurrently. *)
-    for i = 0 to t.hyper.r2_layers - 1 do
+    for i = 0 to layers - 1 do
       let sat_in = !x_sat and path_in = !x_path in
       let new_sat, new_path =
         pair
@@ -120,7 +112,7 @@ let forward ?(parallel = false) t (g : Te_graph.t) =
       x_path := A.add path_in new_path
     done;
     (* GNN for R3: paths and traffic demands. *)
-    for i = 0 to t.hyper.r3_layers - 1 do
+    for i = 0 to layers - 1 do
       let path_in = !x_path and traffic_in = !x_traffic in
       let new_traffic, new_path =
         pair
@@ -140,11 +132,7 @@ let forward ?(parallel = false) t (g : Te_graph.t) =
     A.sigmoid z
   end
 
-let predict ?(trim = true) t inst =
-  let g = Te_graph.of_instance ~with_access_relation:t.hyper.with_access_relation inst in
-  (* Inference never runs backward, so the scheduling-dependent node
-     ids of parallel graph construction are harmless here. *)
-  let ratios = forward ~parallel:true t g in
+let decode inst ratios =
   let alloc = Sate_te.Allocation.zeros inst in
   let p = ref 0 in
   Array.iteri
@@ -152,19 +140,31 @@ let predict ?(trim = true) t inst =
       let demand = inst.Instance.commodities.(f).Instance.demand_mbps in
       Array.iteri
         (fun pi _ ->
-          rates.(pi) <- demand *. Tensor.get ratios.A.value !p 0;
+          rates.(pi) <- demand *. Tensor.get ratios !p 0;
           incr p)
         rates)
     alloc;
+  alloc
+
+let predict ?(trim = true) t inst =
+  let g = Te_graph.of_instance ~with_access_relation:t.hyper.with_access_relation inst in
+  (* Inference never runs backward, so the scheduling-dependent node
+     ids of parallel graph construction are harmless here. *)
+  let alloc = decode inst (forward ~parallel:true t g).A.value in
   if trim then Sate_te.Allocation.trim inst alloc else alloc
 
-(* Save format: marshalled (hyper, seed, weights).  Marshal is safe
-   here: files are local artefacts of this library only. *)
+(* Save format: the tag line, then marshalled (hyper, seed, weights).
+   [load] reads the tag before it unmarshals, so a file of another
+   format is rejected instead of read as values of the wrong type.
+   Change the tag whenever [hyper] or the architecture changes. *)
+let file_tag = "SaTE model v2\n"
+
 let save t path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
+      output_string oc file_tag;
       Marshal.to_channel oc (t.hyper, t.seed, Layers.dump_params (params t)) [])
 
 let load path =
@@ -172,6 +172,11 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
+      let tag =
+        try really_input_string ic (String.length file_tag) with End_of_file -> ""
+      in
+      if tag <> file_tag then
+        invalid_arg ("Model.load: " ^ path ^ " is not a model file of this version");
       let hyper, seed, weights =
         (Marshal.from_channel ic : hyper * int * float array)
       in

@@ -14,16 +14,18 @@
     Embeddings are initialised exactly as in the Fig. 7 table: each
     scalar TE input times a learnable 1 x d matrix W.  Residual
     connections mitigate over-smoothing (Appendix B).  The paper uses
-    d = 768 on an A100; the CPU default here is d = 32, which keeps
-    the architecture identical while fitting laptop budgets. *)
+    d = 768 on an A100; here {!dim} is 32, which keeps the
+    architecture identical while fitting laptop budgets.  Each module
+    stacks two GAT blocks of {!heads} heads, and the decoder has one
+    hidden layer of 64 units. *)
+
+val dim : int
+(** Embedding width d: 32 (the paper's 768 scaled to CPU, Sec. 3.3). *)
+
+val heads : int
+(** Attention heads per GAT block: 2. *)
 
 type hyper = {
-  dim : int;  (** Embedding width (paper: 768; default here 32). *)
-  heads : int;  (** Attention heads per GAT block. *)
-  r1_layers : int;
-  r2_layers : int;
-  r3_layers : int;
-  decoder_hidden : int;
   attention : bool;  (** false = mean-aggregation ablation. *)
   with_access_relation : bool;
       (** true = keep the redundant access relation (Fig. 6a ablation),
@@ -31,6 +33,7 @@ type hyper = {
 }
 
 val default_hyper : hyper
+(** Attention on, access relation off (the paper's model). *)
 
 type t
 
@@ -51,14 +54,23 @@ val forward : ?parallel:bool -> t -> Te_graph.t -> Sate_nn.Autodiff.t
     training (which runs {!Sate_nn.Autodiff.backward}) sticks with the
     default. *)
 
+val decode : Sate_te.Instance.t -> Sate_tensor.Tensor.t -> Sate_te.Allocation.t
+(** Allocation of per-path ratios ([num_paths x 1], in the instance's
+    path order): each path's rate is its ratio times its commodity's
+    demand.  No trim. *)
+
 val predict : ?trim:bool -> t -> Sate_te.Instance.t -> Sate_te.Allocation.t
 (** End-to-end inference: build the graph, run
-    [forward ~parallel:true], scale by demands, and (by default) apply
-    the §3.3 feasibility trim.  The forward pass never runs backward,
-    so it allocates no gradient buffers. *)
+    [forward ~parallel:true], {!decode}, and (by default) apply the
+    §3.3 feasibility trim.  The forward pass never runs backward, so
+    it allocates no gradient buffers. *)
 
 val save : t -> string -> unit
-(** Persist hyperparameters and weights to a file. *)
+(** Persist hyperparameters and weights to a file, after a version
+    tag. *)
 
 val load : string -> t
-(** Restore a model saved by {!save}. *)
+(** Restore a model saved by {!save}.  Raises
+    [Invalid_argument "Model.load: ..."] when the file does not start
+    with this version's tag: another format, an older model file, or
+    no model at all. *)

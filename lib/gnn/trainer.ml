@@ -9,11 +9,10 @@ type sample = {
   labels : Tensor.t;
 }
 
-let make_sample ?(with_access_relation = false) ?(objective = Sate_te.Lp_solver.Max_throughput)
-    instance =
+let make_sample ?(objective = Sate_te.Lp_solver.Max_throughput) instance =
   let alloc = Sate_te.Lp_solver.solve ~objective instance in
   { instance;
-    graph = Te_graph.of_instance ~with_access_relation instance;
+    graph = Te_graph.of_instance instance;
     labels = Loss.label_ratios_of_alloc instance alloc }
 
 type report = {
@@ -53,7 +52,7 @@ let train ?(epochs = 30) ?(lr = 2e-3) model samples =
   done;
   { epochs_run = epochs; losses; wall_clock_s = Unix.gettimeofday () -. t0 }
 
-let fine_tune ?(epochs = 10) ?(lr = 5e-4) model samples = train ~epochs ~lr model samples
+let fine_tune ?(epochs = 10) model samples = train ~epochs ~lr:5e-4 model samples
 
 let evaluate model samples =
   let ratios =

@@ -7,14 +7,11 @@ type sample = {
   labels : Sate_tensor.Tensor.t;  (** Optimal allocation ratios. *)
 }
 
-val make_sample :
-  ?with_access_relation:bool ->
-  ?objective:Sate_te.Lp_solver.objective ->
-  Sate_te.Instance.t ->
-  sample
+val make_sample : ?objective:Sate_te.Lp_solver.objective -> Sate_te.Instance.t -> sample
 (** Solve the instance exactly with the LP solver to obtain labels
     (max-throughput by default; [Min_mlu] for the Appendix H.2
-    variant), and pre-build its TE graph. *)
+    variant), and pre-build its reduced TE graph (no access
+    relation). *)
 
 type report = {
   epochs_run : int;
@@ -23,12 +20,13 @@ type report = {
 }
 
 val train : ?epochs:int -> ?lr:float -> Model.t -> sample list -> report
-(** Adam over per-sample {!Loss.default_config} losses, samples
-    shuffled each epoch by an RNG seeded with 17. *)
+(** Adam (default learning rate 2e-3, 30 epochs) over per-sample
+    {!Loss.default_config} losses, samples shuffled each epoch by an
+    RNG seeded with 17. *)
 
-val fine_tune : ?epochs:int -> ?lr:float -> Model.t -> sample list -> report
-(** Continue training an existing (e.g. transferred) model at a
-    reduced learning rate — the curriculum-style adaptation the paper
+val fine_tune : ?epochs:int -> Model.t -> sample list -> report
+(** Continue training an existing (e.g. transferred) model at the
+    reduced learning rate 5e-4 — the curriculum-style adaptation the paper
     suggests for constellations under gradual expansion (Sec. 7). *)
 
 val evaluate : Model.t -> sample list -> float

@@ -90,14 +90,18 @@ let square a =
     (fun () -> accumulate a (Tensor.mul out.grad (Tensor.scale 2.0 a.value)));
   out
 
-let leaky_relu ?(alpha = 0.2) a =
-  let out = node (Tensor.leaky_relu ~alpha a.value) [ a ] in
+(* Negative slope of LeakyReLU (the GAT convention); the fused
+   [Tensor.edge_scores] kernel uses the same 0.2. *)
+let leaky_slope = 0.2
+
+let leaky_relu a =
+  let out = node (Tensor.leaky_relu ~alpha:leaky_slope a.value) [ a ] in
   out.back <-
     (fun () ->
       let g = out.grad.Tensor.data and x = a.value.Tensor.data in
       let d = like a.value in
       for i = 0 to Array.length x - 1 do
-        d.Tensor.data.(i) <- (if x.(i) > 0.0 then g.(i) else alpha *. g.(i))
+        d.Tensor.data.(i) <- (if x.(i) > 0.0 then g.(i) else leaky_slope *. g.(i))
       done;
       accumulate a d);
   out
@@ -186,13 +190,12 @@ let edge_scores pd ~dst ps ~src pe =
       let g = out.grad.Tensor.data in
       let x = pd.value.Tensor.data and y = ps.value.Tensor.data
       and w = pe.value.Tensor.data in
-      (* Gradient of the pre-activation (the leaky_relu adjoint, slope
-         0.2 as in the kernel), which the chain's two adds and two
-         gathers passed on unchanged. *)
+      (* Gradient of the pre-activation (the leaky_relu adjoint), which
+         the chain's two adds and two gathers passed on unchanged. *)
       let d = like pe.value in
       for i = 0 to Array.length w - 1 do
         let v = (x.(dst.(i)) +. y.(src.(i))) +. w.(i) in
-        d.Tensor.data.(i) <- 0.0 +. (if v > 0.0 then g.(i) else 0.2 *. g.(i))
+        d.Tensor.data.(i) <- 0.0 +. (if v > 0.0 then g.(i) else leaky_slope *. g.(i))
       done;
       accumulate pe d;
       accumulate pd (Tensor.scatter_add_rows d dst ~rows:pd.value.Tensor.rows);

@@ -41,8 +41,8 @@ val square : t -> t
 
 (** {1 Nonlinearities} *)
 
-val leaky_relu : ?alpha:float -> t -> t
-(** Default negative slope 0.2 (GAT convention). *)
+val leaky_relu : t -> t
+(** Negative slope 0.2 (GAT convention). *)
 
 val relu : t -> t
 val sigmoid : t -> t

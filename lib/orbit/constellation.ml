@@ -79,9 +79,10 @@ let mid_size ~plane_divisor =
       Shell.make ~name:"shell-2" ~altitude_km:550.0 ~inclination_deg:53.0
         ~planes ~sats_per_plane:22 () ]
 
-let grid ?(altitude_km = 550.0) ?(inclination_deg = 53.0) ~planes ~sats_per_plane () =
+let grid ~planes ~sats_per_plane () =
   make ~name:(Printf.sprintf "grid-%dx%d" planes sats_per_plane)
-    [ Shell.make ~name:"grid" ~altitude_km ~inclination_deg ~planes ~sats_per_plane () ]
+    [ Shell.make ~name:"grid" ~altitude_km:550.0 ~inclination_deg:53.0 ~planes
+        ~sats_per_plane () ]
 
 let of_scale = function
   | 66 -> iridium

@@ -46,9 +46,10 @@ val mid_size : plane_divisor:int -> t
     [plane_divisor]: divisor 8 gives 396 satellites (Mid-Size 1),
     divisor 2 gives 1,584 (Mid-Size 2), matching Section 4. *)
 
-val grid : ?altitude_km:float -> ?inclination_deg:float -> planes:int -> sats_per_plane:int -> unit -> t
-(** Single-shell test constellation of arbitrary size, e.g. the 176-
-    and 528-satellite scales used for the Teal comparison. *)
+val grid : planes:int -> sats_per_plane:int -> unit -> t
+(** Single-shell test constellation of arbitrary size at Starlink
+    shell 2's 550 km and 53 degrees, e.g. the 176- and 528-satellite
+    scales used for the Teal comparison. *)
 
 val of_scale : int -> t
 (** Convenience lookup by the satellite counts quoted in the paper:

@@ -1,14 +1,9 @@
 module Snapshot = Sate_topology.Snapshot
 
-let path_cost weight snap p =
-  match weight with
-  | Dijkstra.Hops -> float_of_int (Path.hops p)
-  | Dijkstra.Km -> Path.length_km snap p
-
-let k_shortest ?(weight = Dijkstra.Hops) snap ~src ~dst ~k =
+let k_shortest snap ~src ~dst ~k =
   if k <= 0 then []
   else
-    match Dijkstra.shortest ~weight snap ~src ~dst with
+    match Dijkstra.shortest snap ~src ~dst with
     | None -> []
     | Some first ->
         (* Newest-first accumulator with an explicit count: the accept
@@ -24,7 +19,7 @@ let k_shortest ?(weight = Dijkstra.Hops) snap ~src ~dst ~k =
         let push_candidate p =
           if not (Hashtbl.mem known p.Path.nodes) then begin
             Hashtbl.replace known p.Path.nodes ();
-            Sate_util.Heap.push candidates (path_cost weight snap p) p
+            Sate_util.Heap.push candidates (float_of_int (Path.hops p)) p
           end
         in
         let spurs_of prev_path =
@@ -47,7 +42,7 @@ let k_shortest ?(weight = Dijkstra.Hops) snap ~src ~dst ~k =
             let banned_nodes = Hashtbl.create 16 in
             Array.iteri (fun j n -> if j < i then Hashtbl.replace banned_nodes n ()) nodes;
             match
-              Dijkstra.shortest ~weight
+              Dijkstra.shortest
                 ~banned_nodes:(Hashtbl.mem banned_nodes)
                 ~banned_links:(Hashtbl.mem banned_links)
                 snap ~src:spur_node ~dst

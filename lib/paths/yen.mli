@@ -6,11 +6,6 @@
     structure cannot produce enough valid candidates. *)
 
 val k_shortest :
-  ?weight:Dijkstra.weight ->
-  Sate_topology.Snapshot.t ->
-  src:int ->
-  dst:int ->
-  k:int ->
-  Path.t list
-(** Up to [k] loopless paths in non-decreasing cost order.  Empty when
+  Sate_topology.Snapshot.t -> src:int -> dst:int -> k:int -> Path.t list
+(** Up to [k] loopless paths in non-decreasing hop count.  Empty when
     the destination is unreachable. *)

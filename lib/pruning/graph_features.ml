@@ -14,7 +14,10 @@ let fnv1a s =
     s;
   !h land max_int
 
-let vectorize ?(rounds = 3) snap =
+(* Weisfeiler-Lehman refinement rounds. *)
+let rounds = 3
+
+let vectorize snap =
   let n = Snapshot.num_nodes snap in
   let counts = Array.make dimension 0.0 in
   let labels = Array.init n (fun i -> string_of_int (Snapshot.degree snap i)) in

@@ -9,10 +9,8 @@
 val dimension : int
 (** 128, matching the paper's Graph2Vec dimensionality. *)
 
-val vectorize :
-  ?rounds:int -> Sate_topology.Snapshot.t -> float array
-(** WL refinement for [rounds] iterations (default 3) starting from
-    degree labels; every (node, round) label is hashed into one of
+val vectorize : Sate_topology.Snapshot.t -> float array
+(** Three rounds of WL refinement starting from degree labels; every (node, round) label is hashed into one of
     {!dimension} buckets.  The result is L2-normalised. *)
 
 val cosine : float array -> float array -> float

@@ -7,19 +7,15 @@ type cross_shell_mode = Lasers | Ground_relays | Isolated_shells
 type config = {
   cross_shell : cross_shell_mode;
   high_latitude_deg : float;
-  laser_max_km : float;
-  relay_min_elevation_deg : float;
-  isl_capacity_mbps : float;
-  relay_capacity_mbps : float;
 }
 
-let default_config =
-  { cross_shell = Lasers;
-    high_latitude_deg = 75.0;
-    laser_max_km = 2000.0;
-    relay_min_elevation_deg = 25.0;
-    isl_capacity_mbps = 200.0;
-    relay_capacity_mbps = 200.0 }
+let default_config = { cross_shell = Lasers; high_latitude_deg = 75.0 }
+
+(* Section 2.3.1: cross-shell laser range and bent-pipe elevation
+   mask.  Section 4: every link carries 200 Mbps (scaled units). *)
+let laser_max_km = 2000.0
+let relay_min_elevation_deg = 25.0
+let link_capacity_mbps = 200.0
 
 type t = {
   config : config;
@@ -33,14 +29,11 @@ type t = {
   mutable last_time : float;
 }
 
-let create ?(config = default_config) ?relays constellation =
+let create ?(config = default_config) constellation =
   let relays =
-    match relays with
-    | Some r -> r
-    | None -> (
-        match config.cross_shell with
-        | Ground_relays -> Relay_sites.generate ~seed:42 ()
-        | Lasers | Isolated_shells -> [||])
+    match config.cross_shell with
+    | Ground_relays -> Relay_sites.generate ()
+    | Lasers | Isolated_shells -> [||]
   in
   let n = Constellation.size constellation in
   { config;
@@ -53,8 +46,6 @@ let create ?(config = default_config) ?relays constellation =
     relay_partner = Array.make n None;
     relay_retry_at = Array.make n Float.neg_infinity;
     last_time = Float.neg_infinity }
-
-let config t = t.config
 
 let constellation t = t.constellation
 
@@ -88,15 +79,12 @@ let grid_links t positions add =
           if per > 1 && (k < per - 1 || per > 2) then begin
             let b = id p ((k + 1) mod per) in
             add a b Link.Intra_orbit (Geo.distance positions.(a) positions.(b))
-              t.config.isl_capacity_mbps
           end;
           (* Inter-orbit: same slot on the next plane. *)
           if planes > 1 && (p < planes - 1 || planes > 2) then begin
             let b = id ((p + 1) mod planes) k in
             if low_latitude a && low_latitude b then
-              add a b Link.Inter_orbit
-                (Geo.distance positions.(a) positions.(b))
-                t.config.isl_capacity_mbps
+              add a b Link.Inter_orbit (Geo.distance positions.(a) positions.(b))
           end
         done
       done)
@@ -126,20 +114,18 @@ let laser_links t positions add =
     let keep =
       match partner.(i) with
       | Some j when
-          Geo.distance p positions.(j) <= t.config.laser_max_km
+          Geo.distance p positions.(j) <= laser_max_km
           && Geo.line_of_sight p positions.(j) -> true
       | Some _ | None -> false
     in
     if not keep then
       partner.(i) <-
-        (match Spatial_index.nearest index p ~max_km:t.config.laser_max_km with
+        (match Spatial_index.nearest index p ~max_km:laser_max_km with
         | Some (local, _) when Geo.line_of_sight p positions.(target_base + local) ->
             Some (target_base + local)
         | Some _ | None -> None);
     match partner.(i) with
-    | Some j ->
-        add i j Link.Cross_shell_laser (Geo.distance p positions.(j))
-          t.config.isl_capacity_mbps
+    | Some j -> add i j Link.Cross_shell_laser (Geo.distance p positions.(j))
     | None -> ()
   in
   for s = 0 to n_shells - 2 do
@@ -174,7 +160,7 @@ let relay_links t positions add =
       let retry_backoff_s = 0.5 in
       let visible relay_idx sat_pos =
         Geo.elevation_angle_deg ~ground:t.relays.(relay_idx) ~sat:sat_pos
-        >= t.config.relay_min_elevation_deg
+        >= relay_min_elevation_deg
       in
       for i = 0 to num_sats - 1 do
         let p = positions.(i) in
@@ -200,10 +186,7 @@ let relay_links t positions add =
         end
         else if not keep then t.relay_partner.(i) <- None;
         match t.relay_partner.(i) with
-        | Some r ->
-            add i (num_sats + r) Link.Relay
-              (Geo.distance p t.relays.(r))
-              t.config.relay_capacity_mbps
+        | Some r -> add i (num_sats + r) Link.Relay (Geo.distance p t.relays.(r))
         | None -> ()
       done
 
@@ -213,10 +196,11 @@ let snapshot t ~time_s =
   t.last_time <- time_s;
   let positions = Constellation.positions t.constellation ~time_s in
   let acc = Hashtbl.create 4096 in
-  let add u v kind length_km capacity_mbps =
+  let add u v kind length_km =
     let key = (min u v, max u v) in
     if not (Hashtbl.mem acc key) then
-      Hashtbl.replace acc key { Link.u; v; kind; capacity_mbps; length_km }
+      Hashtbl.replace acc key
+        { Link.u; v; kind; capacity_mbps = link_capacity_mbps; length_km }
   in
   grid_links t positions add;
   (match t.config.cross_shell with

@@ -4,13 +4,15 @@
 
     - intra-orbit ISLs are permanent;
     - inter-orbit ISLs deactivate while either endpoint is above the
-      high-latitude threshold (default 75 degrees);
+      high-latitude threshold (default 75 degrees, Section 2.1);
     - cross-shell lasers pair each satellite with the nearest
       satellite of the adjacent shell and, thanks to hysteresis, hold
-      until the distance exceeds the laser range (default 2,000 km);
-    - bent-pipe relay links pair each satellite with the nearest
-      ground relay and hold while the elevation angle stays above the
-      threshold (default 25 degrees).
+      until the distance exceeds the laser range of 2,000 km
+      (Section 2.3.1);
+    - bent-pipe relay links pair each satellite with the nearest of
+      the 222 {!Relay_sites} and hold while the elevation angle stays
+      above 25 degrees (Section 2.3.1);
+    - every link carries 200 Mbps (scaled units, Section 4).
 
     Hysteresis means snapshots must be requested in non-decreasing
     time order; the builder keeps the current pairings between calls
@@ -24,27 +26,17 @@ type cross_shell_mode =
 type config = {
   cross_shell : cross_shell_mode;
   high_latitude_deg : float;  (** Inter-orbit cut-off, default 75. *)
-  laser_max_km : float;  (** Cross-shell laser range, default 2000. *)
-  relay_min_elevation_deg : float;  (** Bent-pipe cut-off, default 25. *)
-  isl_capacity_mbps : float;  (** Default 200 (scaled units, Sec. 4). *)
-  relay_capacity_mbps : float;  (** Default 200. *)
 }
 
 val default_config : config
-(** Paper defaults: lasers, 75 deg, 2000 km, 25 deg, 200 Mbps. *)
+(** Paper defaults: lasers, 75 deg. *)
 
 type t
 
-val create :
-  ?config:config ->
-  ?relays:Sate_geo.Geo.vec3 array ->
-  Sate_orbit.Constellation.t ->
-  t
-(** [create constellation] prepares a generator.  [relays] defaults to
-    the 222 default sites when the mode is [Ground_relays], and to
-    none otherwise. *)
-
-val config : t -> config
+val create : ?config:config -> Sate_orbit.Constellation.t -> t
+(** [create constellation] prepares a generator, with the 222
+    {!Relay_sites} when the mode is [Ground_relays] and no relays
+    otherwise. *)
 
 val constellation : t -> Sate_orbit.Constellation.t
 

@@ -2,9 +2,13 @@ module Geo = Sate_geo.Geo
 module Population = Sate_geo.Population
 module Rng = Sate_util.Rng
 
-let default_count = 222
+(* Section 4: 222 relay sites.  Smoothing 5.0 lets remote land host
+   the occasional relay; seed 42 fixes the layout. *)
+let count = 222
+let smoothing = 5.0
+let seed = 42
 
-let generate ?(count = default_count) ?(smoothing = 5.0) ~seed () =
+let generate () =
   let rng = Rng.create seed in
   let pop = Population.synthetic ~seed in
   let sampler = Population.make_sampler pop ~smoothing ~land_only:true in

@@ -7,20 +7,16 @@ module Spatial_index = Sate_topology.Spatial_index
 
 type config = {
   seed : int;
-  gateway_count : int;
-  smoothing : float;
   gateway_flow_fraction : float;
-  uplink_mbps : float;
-  downlink_mbps : float;
 }
 
-let default_config =
-  { seed = 7;
-    gateway_count = 1000;
-    smoothing = 2.0;
-    gateway_flow_fraction = 0.4;
-    uplink_mbps = 50.0;
-    downlink_mbps = 50.0 }
+let default_config = { seed = 7; gateway_flow_fraction = 0.4 }
+
+(* Section 4: 1,000 gateways, 50 Mbps per user connection each way.
+   Population smoothing gamma of Eq. 8 (Appendix G). *)
+let gateway_count = 1000
+let access_mbps = 50.0
+let smoothing = 2.0
 
 type flow = {
   id : int;
@@ -50,11 +46,9 @@ type t = {
 let create ?(config = default_config) ~lambda () =
   let rng = Rng.create config.seed in
   let pop = Population.synthetic ~seed:config.seed in
-  let user_sampler = Population.make_sampler pop ~smoothing:config.smoothing ~land_only:false in
-  let gateway_sampler = Population.make_sampler pop ~smoothing:config.smoothing ~land_only:true in
-  let gateways =
-    Array.init config.gateway_count (fun _ -> Population.sample gateway_sampler rng)
-  in
+  let user_sampler = Population.make_sampler pop ~smoothing ~land_only:false in
+  let gateway_sampler = Population.make_sampler pop ~smoothing ~land_only:true in
+  let gateways = Array.init gateway_count (fun _ -> Population.sample gateway_sampler rng) in
   { config;
     lambda;
     rng;
@@ -64,8 +58,6 @@ let create ?(config = default_config) ~lambda () =
     next_id = 0;
     active = Hashtbl.create 1024;
     expiries = Heap.create () }
-
-let config t = t.config
 
 let lambda t = t.lambda
 
@@ -145,18 +137,10 @@ let demand_at t snap =
         else begin
           up_count.(src) <- up_count.(src) + 1;
           down_count.(dst) <- down_count.(dst) + 1;
-          let demand =
-            Float.min f.demand_mbps (Float.min t.config.uplink_mbps t.config.downlink_mbps)
-          in
-          (src, dst, demand) :: acc
+          (src, dst, Float.min f.demand_mbps access_mbps) :: acc
         end)
       t.active []
   in
   let demand = Demand.of_assoc ~num_sats assoc in
-  let up_caps =
-    Array.map (fun c -> float_of_int c *. t.config.uplink_mbps) up_count
-  in
-  let down_caps =
-    Array.map (fun c -> float_of_int c *. t.config.downlink_mbps) down_count
-  in
-  (demand, up_caps, down_caps)
+  let caps = Array.map (fun c -> float_of_int c *. access_mbps) in
+  (demand, caps up_count, caps down_count)

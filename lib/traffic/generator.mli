@@ -14,15 +14,17 @@
 
 type config = {
   seed : int;
-  gateway_count : int;  (** Paper: 1,000 gateways. *)
-  smoothing : float;  (** Gamma of Eq. 8. *)
   gateway_flow_fraction : float;
       (** Probability that a new flow is gateway-to-user. *)
-  uplink_mbps : float;  (** Per-connection uplink capacity (50). *)
-  downlink_mbps : float;  (** Per-connection downlink capacity (50). *)
 }
 
 val default_config : config
+(** Seed 7; 40% of new flows are gateway-to-user.
+
+    Fixed: 1,000 gateways and 50 Mbps per user connection for both
+    uplink and downlink (Section 4, capacities scaled as in its note
+    5), and the population smoothing gamma of Eq. 8 (Appendix G) at
+    2 for users and gateways alike. *)
 
 type flow = {
   id : int;
@@ -41,8 +43,6 @@ type t
 
 val create : ?config:config -> lambda:float -> unit -> t
 (** Fresh generator with no active flows at time 0. *)
-
-val config : t -> config
 
 val lambda : t -> float
 

@@ -313,6 +313,32 @@ let test_model_save_load () =
   Alcotest.(check int) "same parameter count" (Model.num_parameters model)
     (Model.num_parameters restored)
 
+(* A file without the current tag is refused before it is
+   unmarshalled: the previous format (marshalled (hyper, seed,
+   weights) with the 8-field hyper record, written here as the tuple
+   of the same shape), a file that holds no model, an empty file. *)
+let test_model_load_rejects_other_files () =
+  let weights = Sate_nn.Layers.dump_params (Model.params (Model.create ~seed:3 ())) in
+  let rejected what write =
+    let path = Filename.temp_file "sate_model" ".bin" in
+    let oc = open_out_bin path in
+    write oc;
+    close_out oc;
+    let outcome =
+      match Model.load path with
+      | _ -> "loaded"
+      | exception Invalid_argument msg -> msg
+      | exception e -> Printexc.to_string e
+    in
+    Sys.remove path;
+    Alcotest.(check bool) (what ^ ": " ^ outcome) true
+      (String.starts_with ~prefix:"Model.load: " outcome)
+  in
+  rejected "previous format" (fun oc ->
+      Marshal.to_channel oc ((32, 2, 2, 2, 2, 64, true, false), 3, weights) []);
+  rejected "not a model" (fun oc -> output_string oc "weights: 0.1 0.2 0.3\n");
+  rejected "empty file" ignore
+
 let test_loss_decreases_with_training () =
   let samples = List.map Trainer.make_sample (Helpers.instance_series ~count:3 ()) in
   let model = Model.create ~seed:4 () in
@@ -384,4 +410,5 @@ let suite =
     Alcotest.test_case "gat matches gather-then-project" `Quick test_gat_matches_reference;
     Alcotest.test_case "gat gradients match unfused chain" `Quick
       test_gat_gradients_match_unfused;
-    Alcotest.test_case "gat forward allocation" `Quick test_gat_forward_allocation ]
+    Alcotest.test_case "gat forward allocation" `Quick test_gat_forward_allocation;
+    Alcotest.test_case "load rejects other files" `Quick test_model_load_rejects_other_files ]

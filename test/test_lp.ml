@@ -273,7 +273,22 @@ let test_klee_minty () =
     (Array.init n (fun j -> if j = n - 1 then pow 5.0 n else 0.0))
     sol;
   Alcotest.(check bool) "same as full tableau" true
-    (same_outcome (solve ~c ~constraints ()) (Full_tableau.solve ~c ~constraints ()))
+    (same_outcome (solve ~c ~constraints ()) (Full_tableau.solve ~c ~constraints ()));
+  (* A short pivot budget ends in Iteration_limit, which has no
+     certificate.  Bland's rule, from half the budget on, needs fewer
+     pivots than Dantzig's 63: 42 is the smallest budget that
+     finishes. *)
+  List.iter
+    (fun max_iters ->
+      let outcome = solve ~max_iters ~c ~constraints () in
+      Alcotest.(check bool)
+        (Printf.sprintf "iteration limit at %d" max_iters)
+        true (outcome = Iteration_limit);
+      Alcotest.(check bool) "no certificate" true
+        (Certificate.check ~c ~constraints outcome = None))
+    [ 0; 1; 20; 41 ];
+  let obj, _ = solve_opt ~max_iters:42 ~c ~constraints () in
+  Alcotest.(check (float 0.0)) "objective at 42" (pow 5.0 n) obj
 
 let test_surplus_enters () =
   (* max x + y, x + y >= 1, x <= 3, y <= 2: optimum (3, 2) = 5, where

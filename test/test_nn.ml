@@ -9,9 +9,9 @@ module Rng = Sate_util.Rng
 module Grad_check = Sate_check.Grad_check
 
 (* Autodiff gradient of [build] wrt a fresh leaf from [x0], against
-   central finite differences. *)
-let gradient_check ?tol name build x0 =
-  let r = Grad_check.check ?tol ~name ~build x0 in
+   central finite differences at [Grad_check.default_tol]. *)
+let gradient_check name build x0 =
+  let r = Grad_check.check ~name ~build x0 in
   if not r.Grad_check.passed then Alcotest.fail (Grad_check.result_to_string r)
 
 let rand_tensor seed rows cols =
@@ -37,7 +37,7 @@ let test_grad_composite_attention () =
   (* A miniature GAT-like computation: the composite must also pass. *)
   let w = rand_tensor 24 2 2 in
   let src = [| 0; 1; 2; 0 |] and dst = [| 1; 2; 0; 2 |] in
-  gradient_check ~tol:5e-3 "mini attention block"
+  gradient_check "mini attention block"
     (fun x ->
       let h = A.matmul x (A.const w) in
       let hs = A.gather_rows h src in
@@ -69,7 +69,7 @@ let test_adjoints_match_closure_forms () =
   check "square" A.square
     ~value:(Tensor.map (fun v -> v *. v))
     ~adjoint:(fun x _ -> Tensor.mul g (Tensor.scale 2.0 x));
-  check "leaky_relu" (A.leaky_relu ~alpha:0.2)
+  check "leaky_relu" A.leaky_relu
     ~value:(Tensor.map (fun v -> if v > 0.0 then v else 0.2 *. v))
     ~adjoint:(fun x _ -> Tensor.map2 (fun g v -> if v > 0.0 then g else 0.2 *. g) g x);
   check "relu" A.relu

@@ -177,7 +177,22 @@ let test_builder_high_latitude_cutoff () =
         Alcotest.(check bool) "both endpoints below threshold" true
           (lat_u <= 75.0 && lat_v <= 75.0)
       end)
-    s.Snapshot.links
+    s.Snapshot.links;
+  (* No latitude exceeds a 90-degree cut-off: all 6 x 11 inter-orbit
+     links of Iridium's wrapped grid are up, more than at 75. *)
+  let inter s =
+    Array.fold_left
+      (fun n l -> if l.Link.kind = Link.Inter_orbit then n + 1 else n)
+      0 s.Snapshot.links
+  in
+  let b90 =
+    Builder.create
+      ~config:{ Builder.default_config with Builder.high_latitude_deg = 90.0 }
+      Constellation.iridium
+  in
+  let s90 = Builder.snapshot b90 ~time_s:0.0 in
+  Alcotest.(check int) "all inter-orbit links at 90" 66 (inter s90);
+  Alcotest.(check bool) "75 cuts some" true (inter s < 66)
 
 let test_builder_cross_shell_laser_range () =
   let c = Constellation.mid_size ~plane_divisor:8 in
@@ -237,7 +252,7 @@ let test_builder_hysteresis_stability () =
     (float_of_int (added + removed) < 0.02 *. float_of_int total)
 
 let test_relay_sites () =
-  let sites = Relay_sites.generate ~seed:5 () in
+  let sites = Relay_sites.generate () in
   Alcotest.(check int) "222 sites" 222 (Array.length sites);
   Array.iter
     (fun p ->

@@ -70,6 +70,24 @@ let test_generator_monotonic_time () =
     (Invalid_argument "Generator.advance: time must be non-decreasing") (fun () ->
       Generator.advance gen ~to_s:1.0)
 
+let test_gateway_flow_fraction () =
+  let via_gateway fraction =
+    let gen =
+      Generator.create
+        ~config:{ Generator.default_config with Generator.gateway_flow_fraction = fraction }
+        ~lambda:20.0 ()
+    in
+    Generator.advance gen ~to_s:10.0;
+    List.map (fun f -> f.Generator.via_gateway) (Generator.active_flows gen)
+  in
+  Alcotest.(check bool) "no gateway flows at 0" true
+    (List.for_all not (via_gateway 0.0));
+  Alcotest.(check bool) "only gateway flows at 1" true
+    (List.for_all Fun.id (via_gateway 1.0));
+  Alcotest.(check bool) "both kinds at the default" true
+    (let v = via_gateway Generator.default_config.Generator.gateway_flow_fraction in
+     List.mem true v && List.mem false v)
+
 let test_demand_aggregation () =
   let d = Demand.of_assoc ~num_sats:10 [ (1, 2, 5.0); (1, 2, 3.0); (3, 4, 1.0); (5, 5, 9.0); (6, 7, 0.0) ] in
   Alcotest.(check int) "two entries (self and zero dropped)" 2 (Demand.num_entries d);
@@ -153,4 +171,5 @@ let suite =
     Alcotest.test_case "demand volumes" `Quick test_demand_volumes;
     Alcotest.test_case "demand at snapshot" `Quick test_demand_at_snapshot;
     Alcotest.test_case "demand deterministic" `Quick test_demand_deterministic;
-    QCheck_alcotest.to_alcotest prop_demand_of_assoc_total ]
+    QCheck_alcotest.to_alcotest prop_demand_of_assoc_total;
+    Alcotest.test_case "gateway flow fraction" `Quick test_gateway_flow_fraction ]
