@@ -10,6 +10,7 @@ module Scenario = Sate_core.Scenario
 module Par = Sate_par.Par
 module Constellation = Sate_orbit.Constellation
 module Builder = Sate_topology.Builder
+module Generator = Sate_traffic.Generator
 module Path_db = Sate_paths.Path_db
 module Gat = Sate_gnn.Gat
 module A = Sate_nn.Autodiff
@@ -58,6 +59,25 @@ let tests () =
     let n = Constellation.size iridium in
     List.init 16 (fun i -> (i mod n, ((i * 13) + 5) mod n))
   in
+  (* The per-round upkeep at the paper's scale, before any TE method:
+     Starlink 4,236 snapshots 12.5 ms apart (laser partners kept by
+     hysteresis, as online), and the demand of a generator warmed for
+     60 s at 8 flows/s against one snapshot. *)
+  let starlink = Builder.create Constellation.starlink_phase1 in
+  let starlink_snap = Builder.snapshot starlink ~time_s:0.0 in
+  let step = ref 0 in
+  let snapshot_4236 =
+    Test.make ~name:"snapshot-4236"
+      (Staged.stage (fun () ->
+           incr step;
+           Builder.snapshot starlink ~time_s:(float_of_int !step *. 0.0125)))
+  in
+  let demand_4236 =
+    let gen = Generator.create ~lambda:8.0 () in
+    Generator.advance gen ~to_s:60.0;
+    Test.make ~name:"demand-4236"
+      (Staged.stage (fun () -> Generator.demand_at gen starlink_snap))
+  in
   Test.make_grouped ~name:"te" ~fmt:"%s/%s"
     [ Test.make ~name:"sate-inference"
         (Staged.stage (fun () -> Model.forward ~parallel:true model graph));
@@ -85,7 +105,9 @@ let tests () =
              Par.with_domains 1 (fun () ->
                  Path_db.compute iridium snap ~pairs:db_pairs ~k:4)));
       Test.make ~name:"path-db-par"
-        (Staged.stage (fun () -> Path_db.compute iridium snap ~pairs:db_pairs ~k:4)) ]
+        (Staged.stage (fun () -> Path_db.compute iridium snap ~pairs:db_pairs ~k:4));
+      snapshot_4236;
+      demand_4236 ]
 
 let run () =
   print_endline "\n=== micro: bechamel kernel benchmarks (ns/run) ===";

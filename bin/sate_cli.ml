@@ -129,27 +129,31 @@ let train_cmd =
 
 let eval_cmd =
   let run scale mode lambda seed model_path duration =
-    let model = Model.load model_path in
-    let s = scenario_of scale mode lambda seed in
-    let inst = Scenario.instance_at s ~time_s:0.0 in
-    let alloc, ms = Method.solve_timed (Method.Sate model) inst in
-    Printf.printf "offline: satisfied=%.1f%% latency=%.1f ms feasible=%b\n%!"
-      (100.0 *. Allocation.satisfied_ratio inst alloc)
-      ms
-      (Allocation.is_feasible inst alloc);
-    let s2 = scenario_of scale mode lambda (seed + 1) in
-    let r = Online.evaluate ~duration_s:duration s2 (Method.Sate model) in
-    Printf.printf "online (%.0f s): satisfied=%.1f%% over %d rounds\n"
-      duration
-      (100.0 *. r.Online.mean_satisfied)
-      r.Online.recomputations
+    match Model.load model_path with
+    | exception (Invalid_argument msg | Sys_error msg) ->
+        `Error (false, Printf.sprintf "cannot load model %s: %s" model_path msg)
+    | model ->
+        let s = scenario_of scale mode lambda seed in
+        let inst = Scenario.instance_at s ~time_s:0.0 in
+        let alloc, ms = Method.solve_timed (Method.Sate model) inst in
+        Printf.printf "offline: satisfied=%.1f%% latency=%.1f ms feasible=%b\n%!"
+          (100.0 *. Allocation.satisfied_ratio inst alloc)
+          ms
+          (Allocation.is_feasible inst alloc);
+        let s2 = scenario_of scale mode lambda (seed + 1) in
+        let r = Online.evaluate ~duration_s:duration s2 (Method.Sate model) in
+        Printf.printf "online (%.0f s): satisfied=%.1f%% over %d rounds\n"
+          duration
+          (100.0 *. r.Online.mean_satisfied)
+          r.Online.recomputations;
+        `Ok ()
   in
   let duration =
     Arg.(value & opt float 30.0 & info [ "duration" ] ~docv:"S" ~doc:"Online horizon (s).")
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a saved SaTE model offline and online")
-    Term.(const run $ scale_arg $ mode_arg $ lambda_arg $ seed_arg $ model_arg $ duration)
+    Term.(ret (const run $ scale_arg $ mode_arg $ lambda_arg $ seed_arg $ model_arg $ duration))
 
 (* sate solve *)
 

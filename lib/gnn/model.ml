@@ -178,7 +178,9 @@ let load path =
       if tag <> file_tag then
         invalid_arg ("Model.load: " ^ path ^ " is not a model file of this version");
       let hyper, seed, weights =
-        (Marshal.from_channel ic : hyper * int * float array)
+        try (Marshal.from_channel ic : hyper * int * float array)
+        with End_of_file | Failure _ ->
+          invalid_arg ("Model.load: " ^ path ^ " is truncated or corrupt")
       in
       let t = create ~hyper ~seed () in
       Layers.load_params (params t) weights;

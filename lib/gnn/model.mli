@@ -72,5 +72,6 @@ val save : t -> string -> unit
 val load : string -> t
 (** Restore a model saved by {!save}.  Raises
     [Invalid_argument "Model.load: ..."] when the file does not start
-    with this version's tag: another format, an older model file, or
-    no model at all. *)
+    with this version's tag (another format, an older model file, or
+    no model at all) or when the data after the tag is cut short or
+    corrupt. *)

@@ -104,7 +104,8 @@ let shell_ranges c =
 
 (* Cross-shell laser pairing with hysteresis: keep the current
    partner while in range and in line of sight, otherwise re-pair to
-   the nearest satellite of the target shell. *)
+   the nearest satellite of the target shell.  A shell's index is built
+   on its first miss: when every partner holds, none is needed. *)
 let laser_links t positions add =
   let c = t.constellation in
   let ranges = shell_ranges c in
@@ -120,7 +121,7 @@ let laser_links t positions add =
     in
     if not keep then
       partner.(i) <-
-        (match Spatial_index.nearest index p ~max_km:laser_max_km with
+        (match Spatial_index.nearest (Lazy.force index) p ~max_km:laser_max_km with
         | Some (local, _) when Geo.line_of_sight p positions.(target_base + local) ->
             Some (target_base + local)
         | Some _ | None -> None);
@@ -131,10 +132,8 @@ let laser_links t positions add =
   for s = 0 to n_shells - 2 do
     let lo_base, lo_size = ranges.(s) in
     let hi_base, hi_size = ranges.(s + 1) in
-    let hi_index =
-      Spatial_index.build (Array.sub positions hi_base hi_size)
-    in
-    let lo_index = Spatial_index.build (Array.sub positions lo_base lo_size) in
+    let hi_index = lazy (Spatial_index.build (Array.sub positions hi_base hi_size)) in
+    let lo_index = lazy (Spatial_index.build (Array.sub positions lo_base lo_size)) in
     for i = lo_base to lo_base + lo_size - 1 do
       pair_one hi_index hi_base t.partner_up i
     done;

@@ -12,25 +12,24 @@ type t = {
 
 let num_nodes t = t.num_sats + t.num_relays
 
+let rec find_index (v : int) = function
+  | [] -> -1
+  | (nbr, li) :: rest -> if nbr = v then li else find_index v rest
+
 let make ~time_s ~num_sats ~sat_positions ~relay_positions ~links =
   let num_relays = Array.length relay_positions in
   let n = num_sats + num_relays in
   let links = Array.of_list links in
-  let seen = Hashtbl.create (Array.length links) in
-  Array.iter
-    (fun l ->
-      if l.Link.u = l.Link.v then invalid_arg "Snapshot.make: self-loop";
-      if l.Link.u < 0 || l.Link.u >= n || l.Link.v < 0 || l.Link.v >= n then
-        invalid_arg "Snapshot.make: endpoint out of range";
-      let k = Link.key l in
-      if Hashtbl.mem seen k then invalid_arg "Snapshot.make: duplicate link";
-      Hashtbl.add seen k ())
-    links;
   let adj = Array.make n [] in
   Array.iteri
     (fun i l ->
-      adj.(l.Link.u) <- (l.Link.v, i) :: adj.(l.Link.u);
-      adj.(l.Link.v) <- (l.Link.u, i) :: adj.(l.Link.v))
+      let u = l.Link.u and v = l.Link.v in
+      if u = v then invalid_arg "Snapshot.make: self-loop";
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Snapshot.make: endpoint out of range";
+      if find_index v adj.(u) >= 0 then invalid_arg "Snapshot.make: duplicate link";
+      adj.(u) <- (v, i) :: adj.(u);
+      adj.(v) <- (u, i) :: adj.(v))
     links;
   { time_s; num_sats; num_relays; sat_positions; relay_positions; links; adj }
 
@@ -39,10 +38,6 @@ let position t i =
   else t.relay_positions.(i - t.num_sats)
 
 let neighbors t i = t.adj.(i)
-
-let rec find_index v = function
-  | [] -> -1
-  | (nbr, li) :: rest -> if nbr = v then li else find_index v rest
 
 let link_index t u v = find_index v t.adj.(u)
 

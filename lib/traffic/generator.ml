@@ -22,10 +22,8 @@ type flow = {
   id : int;
   cls : Flow_class.t;
   demand_mbps : float;
-  src_lat : float;
-  src_lon : float;
-  dst_lat : float;
-  dst_lon : float;
+  src : Geo.vec3;
+  dst : Geo.vec3;
   start_s : float;
   end_s : float;
   via_gateway : bool;
@@ -71,16 +69,15 @@ let new_flow t ~start_s =
     else Population.sample t.user_sampler t.rng
   in
   let dst_lat, dst_lon = Population.sample t.user_sampler t.rng in
+  let ground lat_deg lon_deg = Geo.of_lat_lon ~lat_deg ~lon_deg ~alt_km:0.0 in
   let duration = Flow_class.sample_duration_s cls t.rng in
   let id = t.next_id in
   t.next_id <- id + 1;
   { id;
     cls;
     demand_mbps = Flow_class.demand_mbps cls;
-    src_lat;
-    src_lon;
-    dst_lat;
-    dst_lon;
+    src = ground src_lat src_lon;
+    dst = ground dst_lat dst_lon;
     start_s;
     end_s = start_s +. duration;
     via_gateway }
@@ -120,8 +117,7 @@ let active_count t = Hashtbl.length t.active
 let demand_at t snap =
   let num_sats = snap.Snapshot.num_sats in
   let index = Spatial_index.build snap.Snapshot.sat_positions in
-  let attach lat lon =
-    let p = Geo.of_lat_lon ~lat_deg:lat ~lon_deg:lon ~alt_km:0.0 in
+  let attach p =
     match Spatial_index.nearest index p ~max_km:5000.0 with
     | Some (sat, _) -> sat
     | None -> invalid_arg "Generator.demand_at: no satellite within 5000 km"
@@ -131,8 +127,8 @@ let demand_at t snap =
   let assoc =
     Hashtbl.fold
       (fun _ f acc ->
-        let src = attach f.src_lat f.src_lon in
-        let dst = attach f.dst_lat f.dst_lon in
+        let src = attach f.src in
+        let dst = attach f.dst in
         if src = dst then acc
         else begin
           up_count.(src) <- up_count.(src) + 1;

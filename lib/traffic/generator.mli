@@ -30,10 +30,10 @@ type flow = {
   id : int;
   cls : Flow_class.t;
   demand_mbps : float;
-  src_lat : float;
-  src_lon : float;
-  dst_lat : float;
-  dst_lon : float;
+  src : Sate_geo.Geo.vec3;
+      (** Source on the ground (altitude 0) in ECEF km, projected once
+          when the flow is drawn. *)
+  dst : Sate_geo.Geo.vec3;  (** Destination, likewise. *)
   start_s : float;
   end_s : float;
   via_gateway : bool;

@@ -337,7 +337,16 @@ let test_model_load_rejects_other_files () =
   rejected "previous format" (fun oc ->
       Marshal.to_channel oc ((32, 2, 2, 2, 2, 64, true, false), 3, weights) []);
   rejected "not a model" (fun oc -> output_string oc "weights: 0.1 0.2 0.3\n");
-  rejected "empty file" ignore
+  rejected "empty file" ignore;
+  (* The right tag, then marshalled data cut short. *)
+  let saved =
+    let path = Filename.temp_file "sate_model" ".bin" in
+    Model.save (Model.create ~seed:3 ()) path;
+    let data = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    data
+  in
+  rejected "cut short" (fun oc -> output_string oc (String.sub saved 0 (String.length saved / 2)))
 
 let test_loss_decreases_with_training () =
   let samples = List.map Trainer.make_sample (Helpers.instance_series ~count:3 ()) in

@@ -144,6 +144,161 @@ let test_spatial_index_within () =
   (* 1 degree at 6921 km radius is ~121 km: expect self + neighbour. *)
   Alcotest.(check int) "two within 200km" 2 (List.length close)
 
+(* Reference answers by brute force: the strictly nearest point
+   (first by id on ties), and every point within a radius by id. *)
+let brute_nearest pts q =
+  let best = ref (-1) and best_d = ref Float.infinity in
+  Array.iteri
+    (fun i p ->
+      let d = Geo.distance q p in
+      if d < !best_d then begin
+        best_d := d;
+        best := i
+      end)
+    pts;
+  (!best, !best_d)
+
+let brute_within pts q ~radius_km =
+  List.filter_map
+    (fun i ->
+      let d = Geo.distance q pts.(i) in
+      if d <= radius_km then Some (i, d) else None)
+    (List.init (Array.length pts) Fun.id)
+
+let check_within idx pts q ~radius_km =
+  Alcotest.(check (list (pair int (float 0.0))))
+    "same set as brute force" (brute_within pts q ~radius_km)
+    (List.sort compare (Spatial_index.within idx q ~radius_km))
+
+let random_shell rng n ~alt_km ~max_lat =
+  Array.init n (fun _ ->
+      Geo.of_lat_lon
+        ~lat_deg:(Rng.uniform rng (-.max_lat) max_lat)
+        ~lon_deg:(Rng.uniform rng (-180.0) 180.0)
+        ~alt_km)
+
+let test_spatial_index_within_brute_force () =
+  let rng = Rng.create 17 in
+  let pts = random_shell rng 500 ~alt_km:550.0 ~max_lat:70.0 in
+  let idx = Spatial_index.build pts in
+  for k = 1 to 60 do
+    let q = (random_shell rng 1 ~alt_km:(Rng.uniform rng 0.0 1200.0) ~max_lat:90.0).(0) in
+    check_within idx pts q ~radius_km:[| 300.0; 800.0; 1800.0 |].(k mod 3)
+  done
+
+(* Ground points (altitude 0) attached to a 53-degree, 550 km shell:
+   the query lies below the shell and, near the poles, outside the
+   box of indexed cells, as in [Generator.demand_at]. *)
+let test_spatial_index_ground_queries () =
+  let rng = Rng.create 23 in
+  let pts = random_shell rng 800 ~alt_km:550.0 ~max_lat:53.0 in
+  let idx = Spatial_index.build pts in
+  for _ = 1 to 200 do
+    let q = (random_shell rng 1 ~alt_km:0.0 ~max_lat:90.0).(0) in
+    check_within idx pts q ~radius_km:1800.0;
+    let i, d = brute_nearest pts q in
+    match Spatial_index.nearest idx q ~max_km:5000.0 with
+    | Some got -> Alcotest.(check (pair int (float 0.0))) "same nearest" (i, d) got
+    | None -> Alcotest.fail "expected a satellite within 5000 km"
+  done;
+  (* Run for every flow endpoint each round: a query allocates a few
+     words, however many cells it visits. *)
+  let q = Geo.of_lat_lon ~lat_deg:80.0 ~lon_deg:10.0 ~alt_km:0.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Spatial_index.nearest idx q ~max_km:5000.0))
+  done;
+  let words = (Gc.minor_words () -. before) /. 1000.0 in
+  if words > 64.0 then Alcotest.failf "nearest allocated %.0f words per query" words
+
+(* Points in one layer of cells, queried from several cells above and
+   below it: the z caps of every ring lie outside the box and must be
+   clipped, not wrapped into other cells. *)
+let test_spatial_index_outside_box () =
+  let rng = Rng.create 29 in
+  let pts =
+    Array.init 300 (fun _ ->
+        { Geo.x = Rng.uniform rng (-3000.0) 3000.0;
+          y = Rng.uniform rng (-3000.0) 3000.0;
+          z = Rng.uniform rng 0.0 499.0 })
+  in
+  let idx = Spatial_index.build pts in
+  for k = 1 to 60 do
+    let q =
+      { Geo.x = Rng.uniform rng (-4000.0) 4000.0;
+        y = Rng.uniform rng (-4000.0) 4000.0;
+        z = (if k mod 2 = 0 then 1.0 else -1.0) *. Rng.uniform rng 1000.0 3500.0 }
+    in
+    check_within idx pts q ~radius_km:4000.0;
+    let i, d = brute_nearest pts q in
+    Alcotest.(check (option (pair int (float 0.0)))) "same nearest" (Some (i, d))
+      (Spatial_index.nearest idx q ~max_km:6000.0)
+  done
+
+let test_spatial_index_empty () =
+  let idx = Spatial_index.build [||] in
+  let q = Geo.of_lat_lon ~lat_deg:10.0 ~lon_deg:20.0 ~alt_km:0.0 in
+  Alcotest.(check bool) "no nearest" true (Spatial_index.nearest idx q ~max_km:5000.0 = None);
+  Alcotest.(check int) "none within" 0 (List.length (Spatial_index.within idx q ~radius_km:5000.0))
+
+(* Coordinates on exact multiples of the 500 km cell edge put points
+   on cell corners, where a cell's box distance is the point's own
+   distance; many distances tie, so [nearest] is checked by distance. *)
+let test_spatial_index_cell_edges () =
+  let rng = Rng.create 31 in
+  let edge () = float_of_int (Rng.int rng 13 - 6) *. 500.0 in
+  let lattice () = { Geo.x = edge (); y = edge (); z = edge () } in
+  let pts = Array.init 150 (fun _ -> lattice ()) in
+  let idx = Spatial_index.build pts in
+  for k = 1 to 100 do
+    let q =
+      if k mod 2 = 0 then lattice ()
+      else Geo.add (lattice ()) { Geo.x = 250.0; y = 0.0; z = -250.0 }
+    in
+    let radius_km = [| 500.0; 707.1067811865476; 1000.0; 1500.0 |].(k mod 4) in
+    check_within idx pts q ~radius_km;
+    let _, d = brute_nearest pts q in
+    match Spatial_index.nearest idx q ~max_km:3000.0 with
+    | Some (i, got) ->
+        Alcotest.(check (float 0.0)) "nearest distance" d got;
+        Alcotest.(check (float 0.0)) "id at that distance" d (Geo.distance q pts.(i))
+    | None -> Alcotest.fail "expected a nearest point"
+  done
+
+let test_spatial_index_max_km_inclusive () =
+  let p = Geo.of_lat_lon ~lat_deg:12.0 ~lon_deg:34.0 ~alt_km:550.0 in
+  let q = Geo.of_lat_lon ~lat_deg:17.0 ~lon_deg:30.0 ~alt_km:0.0 in
+  let idx = Spatial_index.build [| p |] in
+  let d = Geo.distance q p in
+  Alcotest.(check bool) "at max_km" true (Spatial_index.nearest idx q ~max_km:d = Some (0, d));
+  Alcotest.(check bool) "just beyond" true
+    (Spatial_index.nearest idx q ~max_km:(Float.pred d) = None);
+  Alcotest.(check int) "within at radius" 1 (List.length (Spatial_index.within idx q ~radius_km:d));
+  (* A point on its cell's corner nearest the query: the box distance
+     is the point's own, and squaring the rounded root gives less than
+     the sum it came from, so only the slack keeps the cell. *)
+  let p = { Geo.x = 500.0; y = 500.0; z = 500.0 } in
+  let q = { Geo.x = 250.0; y = 250.0; z = 250.0 } in
+  let idx = Spatial_index.build [| p |] in
+  let d = Geo.distance q p in
+  Alcotest.(check bool) "corner at max_km" true
+    (Spatial_index.nearest idx q ~max_km:d = Some (0, d));
+  Alcotest.(check int) "corner within" 1 (List.length (Spatial_index.within idx q ~radius_km:d))
+
+(* Ties go to the first point in ring, then cell ((dx, dy, dz)
+   lexicographic), then descending-id order. *)
+let test_spatial_index_tie_break () =
+  let v x y z = { Geo.x; y; z } in
+  let q = v 250.0 250.0 250.0 in
+  let nearest pts = Spatial_index.nearest (Spatial_index.build pts) q ~max_km:2000.0 in
+  let check name expected pts =
+    Alcotest.(check (option (pair int (float 0.0)))) name (Some expected) (nearest pts)
+  in
+  check "same cell: higher id" (1, 100.0) [| v 250.0 250.0 350.0; v 250.0 250.0 150.0 |];
+  check "dx = -1 before dx = +1" (0, 600.0) [| v (-350.0) 250.0 250.0; v 850.0 250.0 250.0 |];
+  check "dy = -1 before dz = +1 and dx = +1" (2, 600.0)
+    [| v 250.0 250.0 850.0; v 850.0 250.0 250.0; v 250.0 (-350.0) 250.0 |]
+
 let iridium_snapshot () =
   let b = Builder.create Constellation.iridium in
   b, Builder.snapshot b ~time_s:0.0
@@ -251,6 +406,44 @@ let test_builder_hysteresis_stability () =
   Alcotest.(check bool) "churn under 2%" true
     (float_of_int (added + removed) < 0.02 *. float_of_int total)
 
+(* Cross-shell laser pairing of a fresh builder against brute force:
+   every satellite takes the nearest satellite of each adjacent shell
+   within the 2,000 km laser range, kept if in line of sight. *)
+let test_builder_laser_pairing_oracle () =
+  let c = Constellation.starlink_phase1 in
+  let s = Builder.snapshot (Builder.create c) ~time_s:0.0 in
+  let pos = s.Snapshot.sat_positions in
+  let ranges =
+    let off = ref 0 in
+    Array.map
+      (fun sh ->
+        let r = (!off, Sate_orbit.Shell.size sh) in
+        off := !off + Sate_orbit.Shell.size sh;
+        r)
+      (Constellation.shells c)
+  in
+  let expected = ref [] in
+  let pair i (base, size) =
+    let j, d = brute_nearest (Array.sub pos base size) pos.(i) in
+    if j >= 0 && d <= 2000.0 && Geo.line_of_sight pos.(i) pos.(base + j) then
+      expected := (min i (base + j), max i (base + j)) :: !expected
+  in
+  Array.iteri
+    (fun sh (base, size) ->
+      for i = base to base + size - 1 do
+        if sh > 0 then pair i ranges.(sh - 1);
+        if sh < Array.length ranges - 1 then pair i ranges.(sh + 1)
+      done)
+    ranges;
+  let got =
+    Array.to_list s.Snapshot.links
+    |> List.filter_map (fun l ->
+           if l.Link.kind = Link.Cross_shell_laser then Some (Link.key l) else None)
+  in
+  Alcotest.(check bool) "some laser links" true (got <> []);
+  Alcotest.(check (list (pair int int))) "same laser links"
+    (List.sort_uniq compare !expected) (List.sort compare got)
+
 let test_relay_sites () =
   let sites = Relay_sites.generate () in
   Alcotest.(check int) "222 sites" 222 (Array.length sites);
@@ -325,12 +518,22 @@ let suite =
     Alcotest.test_case "spatial index correct" `Quick test_spatial_index_vs_brute_force;
     Alcotest.test_case "spatial index max_km" `Quick test_spatial_index_max_km;
     Alcotest.test_case "spatial index within" `Quick test_spatial_index_within;
+    Alcotest.test_case "spatial index within brute force" `Quick
+      test_spatial_index_within_brute_force;
+    Alcotest.test_case "spatial index ground queries" `Quick test_spatial_index_ground_queries;
+    Alcotest.test_case "spatial index outside the box" `Quick test_spatial_index_outside_box;
+    Alcotest.test_case "spatial index empty" `Quick test_spatial_index_empty;
+    Alcotest.test_case "spatial index cell edges" `Quick test_spatial_index_cell_edges;
+    Alcotest.test_case "spatial index max_km inclusive" `Quick
+      test_spatial_index_max_km_inclusive;
+    Alcotest.test_case "spatial index tie-break" `Quick test_spatial_index_tie_break;
     Alcotest.test_case "iridium structure" `Quick test_builder_iridium_structure;
     Alcotest.test_case "high latitude cutoff" `Quick test_builder_high_latitude_cutoff;
     Alcotest.test_case "cross-shell laser range" `Quick test_builder_cross_shell_laser_range;
     Alcotest.test_case "relay elevation" `Quick test_builder_relay_elevation;
     Alcotest.test_case "time monotonic" `Quick test_builder_time_monotonic;
     Alcotest.test_case "hysteresis stability" `Quick test_builder_hysteresis_stability;
+    Alcotest.test_case "laser pairing oracle" `Quick test_builder_laser_pairing_oracle;
     Alcotest.test_case "relay sites" `Quick test_relay_sites;
     Alcotest.test_case "holding times" `Quick test_holding_times;
     Alcotest.test_case "exclusion monotonic" `Quick test_exclusion_monotonic;
