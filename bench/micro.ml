@@ -78,6 +78,17 @@ let tests () =
     Test.make ~name:"demand-4236"
       (Staged.stage (fun () -> Generator.demand_at gen starlink_snap))
   in
+  (* The Yen fallback of a Starlink path search: k = 4 between four
+     fixed pairs of the t = 0 snapshot (two same-shell, two
+     cross-shell). *)
+  let yen_4236 =
+    let pairs = [ (0, 1_000); (37, 1_500); (100, 3_000); (2_500, 4_100) ] in
+    Test.make ~name:"yen-4236"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (src, dst) -> ignore (Sate_paths.Yen.k_shortest starlink_snap ~src ~dst ~k:4))
+             pairs))
+  in
   Test.make_grouped ~name:"te" ~fmt:"%s/%s"
     [ Test.make ~name:"sate-inference"
         (Staged.stage (fun () -> Model.forward ~parallel:true model graph));
@@ -107,7 +118,8 @@ let tests () =
       Test.make ~name:"path-db-par"
         (Staged.stage (fun () -> Path_db.compute iridium snap ~pairs:db_pairs ~k:4));
       snapshot_4236;
-      demand_4236 ]
+      demand_4236;
+      yen_4236 ]
 
 let run () =
   print_endline "\n=== micro: bechamel kernel benchmarks (ns/run) ===";

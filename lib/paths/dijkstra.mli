@@ -10,9 +10,10 @@ val shortest :
   src:int ->
   dst:int ->
   Path.t option
-(** Dijkstra from [src] to [dst]; [banned_nodes] (node ids) and
-    [banned_links] (indices into [snapshot.links]) support Yen's spur
-    computation.  Default weight is [Hops]. *)
+(** Dijkstra from [src] to [dst], avoiding [banned_nodes] (node ids)
+    and [banned_links] (indices into [snapshot.links]).  Default
+    weight is [Hops].  Raises [Invalid_argument] if an endpoint is out
+    of range. *)
 
 val distances :
   ?weight:weight ->
@@ -24,6 +25,32 @@ val distances :
     [[(src, 0.0)]] gives one-to-all distances).  [infinity] when
     unreachable.  Raises [Invalid_argument] if a source is out of
     range. *)
+
+(** {2 Repeated searches}
+
+    A workspace holds the arrays, queue and ban sets of a search over
+    one snapshot and is reset, not reallocated, between searches, as
+    Yen's spur searches need.  [shortest] and [distances] run the same
+    search on a fresh workspace.  A workspace is not shared between
+    domains. *)
+
+type workspace
+
+val workspace : weight -> Sate_topology.Snapshot.t -> workspace
+(** Fresh workspace for searches over the snapshot, nothing banned. *)
+
+val ban_node : workspace -> int -> unit
+(** Exclude a node from later searches, until {!unban}. *)
+
+val ban_link : workspace -> int -> unit
+(** Exclude a link (index into [snapshot.links]) from later searches,
+    until {!unban}. *)
+
+val unban : workspace -> unit
+(** Lift every ban, in constant time. *)
+
+val shortest_in : workspace -> src:int -> dst:int -> Path.t option
+(** {!shortest} over the workspace's snapshot, weight and bans. *)
 
 val bfs_nearest :
   Sate_topology.Snapshot.t ->

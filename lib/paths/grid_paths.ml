@@ -97,9 +97,10 @@ let crossing_of c snap ~target_shell node =
               None)
         (Snapshot.neighbors snap node)
 
+(* First occurrences only, as the sequence is traversed (once). *)
 let dedup_paths paths =
   let seen = Hashtbl.create 16 in
-  List.filter
+  Seq.filter
     (fun (p : Path.t) ->
       if Hashtbl.mem seen p.Path.nodes then false
       else begin
@@ -125,11 +126,15 @@ let concat_prefix prefix (tail : Path.t) =
       let p = { Path.nodes } in
       if Path.is_loopless p then Some p else None
 
+(* The first [k] distinct paths of [found] followed by Yen's first
+   [k].  Yen's n-th path does not depend on how many follow it, and
+   [dedup_paths] keeps first occurrences, so Yen runs only until [k]
+   distinct paths are in hand: the same list a full run gives. *)
 let top_up_with_yen snap ~src ~dst ~k found =
   if List.length found >= k then found
   else
-    let extra = Yen.k_shortest snap ~src ~dst ~k in
-    dedup_paths (found @ extra) |> fun l -> List.filteri (fun i _ -> i < k) l
+    Seq.append (List.to_seq found) (Seq.take k (Yen.paths snap ~src ~dst))
+    |> dedup_paths |> Seq.take k |> List.of_seq
 
 let k_shortest c snap ~src ~dst ~k =
   if src = dst || k <= 0 then []
@@ -171,9 +176,9 @@ let k_shortest c snap ~src ~dst ~k =
                 let joined = prefix @ List.tl to_alpha @ List.tl crossing in
                 walk joined gamma target_shell
         in
-        walk [ src ] src s_shell |> dedup_paths
-        |> List.filter (fun p -> Path.is_loopless p && Path.valid_in snap p)
-        |> fun l -> List.filteri (fun i _ -> i < k) l
+        walk [ src ] src s_shell |> List.to_seq |> dedup_paths
+        |> Seq.filter (fun p -> Path.is_loopless p && Path.valid_in snap p)
+        |> Seq.take k |> List.of_seq
       end
     in
     top_up_with_yen snap ~src ~dst ~k found

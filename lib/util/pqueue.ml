@@ -8,7 +8,7 @@ type t = {
 let create n =
   { keys = Array.make (max n 1) 0; prios = Array.make (max n 1) 0.0; pos = Array.make (max n 1) (-1); size = 0 }
 
-let mem q k = q.pos.(k) >= 0
+let[@inline] mem q k = q.pos.(k) >= 0
 
 let swap q i j =
   let ki = q.keys.(i) and kj = q.keys.(j) in
@@ -36,7 +36,7 @@ let rec sift_down q i =
     sift_down q !smallest
   end
 
-let insert q k p =
+let[@inline] insert q k p =
   if mem q k then invalid_arg "Pqueue.insert: key already present";
   q.keys.(q.size) <- k;
   q.pos.(k) <- q.size;
@@ -44,19 +44,18 @@ let insert q k p =
   q.size <- q.size + 1;
   sift_up q (q.size - 1)
 
-let decrease q k p =
+let[@inline] decrease q k p =
   if mem q k && p < q.prios.(k) then begin
     q.prios.(k) <- p;
     sift_up q q.pos.(k)
   end
 
-let insert_or_decrease q k p = if mem q k then decrease q k p else insert q k p
+let[@inline] insert_or_decrease q k p = if mem q k then decrease q k p else insert q k p
 
-let pop_min q =
-  if q.size = 0 then None
+let pop q =
+  if q.size = 0 then -1
   else begin
     let k = q.keys.(0) in
-    let p = q.prios.(k) in
     q.size <- q.size - 1;
     q.pos.(k) <- -1;
     if q.size > 0 then begin
@@ -65,5 +64,16 @@ let pop_min q =
       q.pos.(last) <- 0;
       sift_down q 0
     end;
-    Some (k, p)
+    k
   end
+
+let priority q k = q.prios.(k)
+
+(* Only [pos] says what is queued: slots of [keys] past [size] and the
+   priorities of absent keys are never read before being written, so
+   a cleared queue takes the same steps as a fresh one. *)
+let clear q =
+  for i = 0 to q.size - 1 do
+    q.pos.(q.keys.(i)) <- -1
+  done;
+  q.size <- 0

@@ -1,7 +1,9 @@
 (** Indexed min-priority queue over integer keys [0 .. n-1] with
     decrease-key, as needed by Dijkstra/Yen path searches.
 
-    Priorities are floats; each key appears at most once. *)
+    Priorities are floats; each key appears at most once.  Popping
+    allocates nothing, and a queue emptied by {!clear} behaves exactly
+    like a fresh one, so one queue serves many searches. *)
 
 type t
 
@@ -22,5 +24,13 @@ val decrease : t -> int -> float -> unit
 val insert_or_decrease : t -> int -> float -> unit
 (** Insert the key, or lower its priority if already queued. *)
 
-val pop_min : t -> (int * float) option
-(** Remove and return the minimum-priority key. *)
+val pop : t -> int
+(** Remove and return the minimum-priority key, or [-1] when the
+    queue is empty. *)
+
+val priority : t -> int -> float
+(** [priority q k] is the priority [k] last held: while queued, and
+    after {!pop} removes it, until it is inserted again. *)
+
+val clear : t -> unit
+(** Remove every key, in time proportional to the keys queued. *)

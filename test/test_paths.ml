@@ -353,6 +353,108 @@ let test_bfs_nearest_path () =
       | Some ([ 5 ], 5) -> ()
       | _ -> Alcotest.fail "an accepted source is its own one-node path")
 
+(* Differential tests against [Yen_reference], the search before it
+   ran on one reused workspace: same paths, same order, bit for bit. *)
+module Ref = Yen_reference
+
+let path_lists = Alcotest.(list (list int))
+let lists = List.map Path.to_list
+let path_option = Alcotest.(option (list int))
+
+let random_pairs seed n count =
+  let rng = Sate_util.Rng.create seed in
+  List.init count (fun _ -> (Sate_util.Rng.int rng n, Sate_util.Rng.int rng n))
+  |> List.filter (fun (a, b) -> a <> b)
+
+(* Iridium, and Starlink 396 with lasers and with ground relays, each
+   at t = 0 and 10 minutes on. *)
+let differential_snapshots () =
+  let at c mode t =
+    let b = Builder.create ~config:{ Builder.default_config with Builder.cross_shell = mode } c in
+    (c, Builder.snapshot b ~time_s:t)
+  in
+  let mid = Constellation.mid_size ~plane_divisor:8 in
+  List.concat_map
+    (fun t ->
+      [ at iridium Builder.Lasers t; at mid Builder.Lasers t; at mid Builder.Ground_relays t ])
+    [ 0.0; 600.0 ]
+
+let test_yen_matches_reference () =
+  List.iteri
+    (fun si (c, s) ->
+      List.iter
+        (fun (src, dst) ->
+          let name = Printf.sprintf "snapshot %d, %d->%d" si src dst in
+          Alcotest.check path_lists (name ^ " yen k=4")
+            (lists (Ref.Yen.k_shortest s ~src ~dst ~k:4))
+            (lists (Yen.k_shortest s ~src ~dst ~k:4));
+          Alcotest.check path_lists (name ^ " grid k=4")
+            (lists (Ref.Grid_paths.k_shortest c s ~src ~dst ~k:4))
+            (lists (Grid_paths.k_shortest c s ~src ~dst ~k:4)))
+        (random_pairs (si + 1) (Constellation.size c) 40);
+      (* A longer Yen run, and every prefix of it from the sequence. *)
+      let src, dst = (0, Constellation.size c / 2) in
+      let full = lists (Ref.Yen.k_shortest s ~src ~dst ~k:12) in
+      Alcotest.check path_lists "yen k=12" full (lists (Yen.k_shortest s ~src ~dst ~k:12));
+      List.iteri
+        (fun i _ ->
+          Alcotest.check path_lists "yen prefix" (List.filteri (fun j _ -> j <= i) full)
+            (lists (List.of_seq (Seq.take (i + 1) (Yen.paths s ~src ~dst)))))
+        full)
+    (differential_snapshots ())
+
+(* Relay endpoints have no grid structure: Grid_paths falls back to
+   Yen on both sides. *)
+let test_relay_endpoints_match_reference () =
+  let c, s = mid_size_snapshot Builder.Ground_relays in
+  let sats = Constellation.size c and relays = s.Snapshot.num_relays in
+  Alcotest.(check bool) "bent pipe has relays" true (relays > 0);
+  let rng = Sate_util.Rng.create 7 in
+  for _ = 1 to 30 do
+    let relay = sats + Sate_util.Rng.int rng relays in
+    let other = Sate_util.Rng.int rng (sats + relays) in
+    List.iter
+      (fun (src, dst) ->
+        if src <> dst then
+          Alcotest.check path_lists
+            (Printf.sprintf "%d->%d" src dst)
+            (lists (Ref.Grid_paths.k_shortest c s ~src ~dst ~k:4))
+            (lists (Grid_paths.k_shortest c s ~src ~dst ~k:4)))
+      [ (relay, other); (other, relay) ]
+  done
+
+(* Dijkstra.shortest with ban closures, and seeded distances, in both
+   weights. *)
+let test_dijkstra_matches_reference () =
+  List.iteri
+    (fun si (_, s) ->
+      let n = Snapshot.num_nodes s and m = Array.length s.Snapshot.links in
+      let rng = Sate_util.Rng.create (100 + si) in
+      let nodes = Array.init n (fun _ -> Sate_util.Rng.int rng 10 = 0) in
+      let links = Array.init m (fun _ -> Sate_util.Rng.int rng 10 = 0) in
+      List.iter
+        (fun weight ->
+          List.iter
+            (fun (src, dst) ->
+              let name = Printf.sprintf "snapshot %d, %d->%d" si src dst in
+              Alcotest.check path_option (name ^ " plain")
+                (Option.map Path.to_list (Ref.Dijkstra.shortest ~weight s ~src ~dst))
+                (Option.map Path.to_list (Dijkstra.shortest ~weight s ~src ~dst));
+              Alcotest.check path_option (name ^ " banned")
+                (Option.map Path.to_list
+                   (Ref.Dijkstra.shortest ~weight ~banned_nodes:(Array.get nodes)
+                      ~banned_links:(Array.get links) s ~src ~dst))
+                (Option.map Path.to_list
+                   (Dijkstra.shortest ~weight ~banned_nodes:(Array.get nodes)
+                      ~banned_links:(Array.get links) s ~src ~dst)))
+            (random_pairs (200 + si) n 20);
+          let sources = [ (0, 0.0); (n / 3, 1.5); (n - 1, 700.0) ] in
+          Alcotest.(check (array (float 0.0))) "distances"
+            (Ref.Dijkstra.distances ~weight s ~sources)
+            (Dijkstra.distances ~weight s ~sources))
+        [ Dijkstra.Hops; Dijkstra.Km ])
+    (differential_snapshots ())
+
 let prop_grid_candidates_minimal =
   (* All staircase candidates have exactly the wrapped Manhattan hop
      count. *)
@@ -400,4 +502,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_yen_loopless;
     Alcotest.test_case "dijkstra multi-source" `Quick test_dijkstra_multi_source;
     Alcotest.test_case "dijkstra banned link" `Quick test_dijkstra_banned_link;
-    Alcotest.test_case "bfs nearest path" `Quick test_bfs_nearest_path ]
+    Alcotest.test_case "bfs nearest path" `Quick test_bfs_nearest_path;
+    Alcotest.test_case "yen and grid match reference" `Quick test_yen_matches_reference;
+    Alcotest.test_case "relay endpoints match reference" `Quick
+      test_relay_endpoints_match_reference;
+    Alcotest.test_case "dijkstra matches reference" `Quick test_dijkstra_matches_reference ]

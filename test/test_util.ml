@@ -190,15 +190,56 @@ let test_pqueue_dijkstra_order () =
   Pqueue.insert q 1 3.0;
   Pqueue.insert q 2 4.0;
   Pqueue.decrease q 0 1.0;
-  (match Pqueue.pop_min q with
-  | Some (k, p) ->
-      Alcotest.(check int) "decreased key first" 0 k;
-      check_float "prio" 1.0 p
-  | None -> Alcotest.fail "expected pop");
+  let k = Pqueue.pop q in
+  Alcotest.(check int) "decreased key first" 0 k;
+  check_float "prio" 1.0 (Pqueue.priority q k);
   Pqueue.insert_or_decrease q 2 0.5;
-  (match Pqueue.pop_min q with
-  | Some (k, _) -> Alcotest.(check int) "key 2 next" 2 k
-  | None -> Alcotest.fail "expected pop")
+  Alcotest.(check int) "key 2 next" 2 (Pqueue.pop q);
+  Alcotest.(check int) "key 1 last" 1 (Pqueue.pop q);
+  Alcotest.(check int) "empty" (-1) (Pqueue.pop q)
+
+(* Dijkstra's tie-breaks are the queue's: a cleared queue, left with
+   keys queued and stale priorities by earlier use, must pop a
+   tie-heavy sequence (priorities from {0, 1, 2, 3}) exactly as a
+   fresh queue does. *)
+let test_pqueue_clear_reuse () =
+  let n = 64 in
+  let run q rng steps =
+    let popped = ref [] in
+    for _ = 1 to steps do
+      if Rng.int rng 3 = 0 then begin
+        let k = Pqueue.pop q in
+        popped := (k, if k >= 0 then Pqueue.priority q k else 0.0) :: !popped
+      end
+      else Pqueue.insert_or_decrease q (Rng.int rng n) (float_of_int (Rng.int rng 4))
+    done;
+    let rec drain () =
+      let k = Pqueue.pop q in
+      if k >= 0 then begin
+        popped := (k, Pqueue.priority q k) :: !popped;
+        drain ()
+      end
+    in
+    drain ();
+    List.rev !popped
+  in
+  let reused = Pqueue.create n in
+  for trial = 1 to 20 do
+    (* Leave the queue dirty, then clear it. *)
+    let dirt = Rng.create trial in
+    for _ = 1 to trial do
+      Pqueue.insert_or_decrease reused (Rng.int dirt n) (float_of_int (Rng.int dirt 4))
+    done;
+    ignore (Pqueue.pop reused);
+    Pqueue.insert_or_decrease reused ((trial * 7) mod n) 0.0;
+    Pqueue.clear reused;
+    Alcotest.(check int) "cleared" (-1) (Pqueue.pop reused);
+    let fresh = run (Pqueue.create n) (Rng.create (100 + trial)) 400 in
+    let again = run reused (Rng.create (100 + trial)) 400 in
+    Alcotest.(check (list (pair int (float 0.0))))
+      (Printf.sprintf "trial %d pops" trial)
+      fresh again
+  done
 
 let test_pqueue_duplicate_insert () =
   let q = Pqueue.create 4 in
@@ -252,5 +293,6 @@ let suite =
     Alcotest.test_case "heap clear releases" `Quick test_heap_clear_releases_values;
     Alcotest.test_case "pqueue order" `Quick test_pqueue_dijkstra_order;
     Alcotest.test_case "pqueue duplicate" `Quick test_pqueue_duplicate_insert;
+    Alcotest.test_case "pqueue clear and reuse" `Quick test_pqueue_clear_reuse;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_percentile_bounds ]
