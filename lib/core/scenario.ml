@@ -50,8 +50,6 @@ let config t = t.config
 
 let constellation t = t.constellation
 
-let builder t = t.builder
-
 let demand_at t ~time_s =
   let snap = Builder.snapshot t.builder ~time_s in
   Generator.advance t.generator ~to_s:(time_s +. t.config.warmup_s);

@@ -27,8 +27,6 @@ val config : t -> config
 
 val constellation : t -> Sate_orbit.Constellation.t
 
-val builder : t -> Sate_topology.Builder.t
-
 val instance_at : t -> time_s:float -> Sate_te.Instance.t
 (** TE inputs at simulation time [time_s] (non-decreasing across
     calls).  Uplink/downlink capacities come from the generator's

@@ -5,16 +5,23 @@
     recomputing every pair each interval, {!update} revalidates the
     stored paths against the new snapshot and recomputes only pairs
     that lost a path — the paper reports under 2% of paths change per
-    second (Sec. 4, Appendix C). *)
+    second (Sec. 4, Appendix C).  A store lives on the snapshot its
+    last {!compute}, {!update} or {!add_pairs} was given, and holds
+    every path resolved to that snapshot's link indices. *)
 
 type t
 
-val k : t -> int
+type entry = {
+  paths : Path.t array;
+  links : int array array;  (** [links.(p)]: {!Path.link_indices} of path p. *)
+}
+
+val snapshot : t -> Sate_topology.Snapshot.t
 
 val pairs : t -> (int * int) array
 (** The tracked source-destination pairs. *)
 
-val paths : t -> src:int -> dst:int -> Path.t list
+val find : t -> src:int -> dst:int -> entry
 (** Stored candidate paths for a pair (possibly fewer than [k];
     empty for untracked or disconnected pairs). *)
 
@@ -24,16 +31,17 @@ val compute :
   pairs:(int * int) list ->
   k:int ->
   t
-(** Populate the store for the given pairs using {!Grid_paths}. *)
+(** {!add_pairs} over an empty store on the given snapshot. *)
 
 val update : t -> Sate_topology.Snapshot.t -> t * int
-(** Revalidate against a new snapshot; recompute pairs with invalid
-    paths.  Returns the new store and the number of pairs
-    recomputed. *)
+(** Move to a new snapshot: resolve the stored paths in it, and
+    recompute pairs with a missing hop or no paths.  Returns the new
+    store and the number of pairs recomputed. *)
 
 val add_pairs : t -> Sate_topology.Snapshot.t -> (int * int) list -> t
 (** Track additional pairs (new traffic demands), computing their
-    paths against the given snapshot. *)
+    paths with {!Grid_paths}.  Raises [Invalid_argument] unless the
+    snapshot is (physically) the store's own. *)
 
 val stats : t -> int * int
 (** [(num_pairs, total_paths)] currently stored. *)

@@ -18,26 +18,9 @@ type t = {
   down_caps : float array;
 }
 
-(* Each stored path resolved once to its link indices; a path with a
-   missing hop is dropped.  Kept entries are packed to the front in
-   place: slot [!kept] is never ahead of the slot being read. *)
-let resolve snapshot stored =
-  let paths = Array.of_list stored in
-  let links = Array.make (Array.length paths) [||] in
-  let kept = ref 0 in
-  Array.iter
-    (fun p ->
-      match Path.link_indices snapshot p with
-      | Some l ->
-          paths.(!kept) <- p;
-          links.(!kept) <- l;
-          incr kept
-      | None -> ())
-    paths;
-  if !kept = Array.length paths then (paths, links)
-  else (Array.sub paths 0 !kept, Array.sub links 0 !kept)
-
 let make ?up_caps ?down_caps snapshot demand path_db =
+  if Path_db.snapshot path_db != snapshot then
+    invalid_arg "Instance.make: path store is not on this snapshot";
   let n = Snapshot.num_nodes snapshot in
   let caps = function
     | Some c when Array.length c >= n -> c
@@ -51,8 +34,8 @@ let make ?up_caps ?down_caps snapshot demand path_db =
   let commodities =
     Array.map
       (fun (e : Demand.entry) ->
-        let paths, path_links =
-          resolve snapshot (Path_db.paths path_db ~src:e.Demand.src ~dst:e.Demand.dst)
+        let { Path_db.paths; links = path_links } =
+          Path_db.find path_db ~src:e.Demand.src ~dst:e.Demand.dst
         in
         { src = e.Demand.src;
           dst = e.Demand.dst;

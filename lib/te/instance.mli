@@ -31,8 +31,8 @@ val make :
   Sate_paths.Path_db.t ->
   t
 (** Build an instance: one commodity per demand entry, with its
-    candidate paths taken from the database (entries whose stored
-    paths are invalid in this snapshot keep only the valid ones).
+    candidate paths and link indices as the store holds them; raises
+    [Invalid_argument] unless the store lives on this very snapshot.
     Capacities default to unbounded. *)
 
 val of_demand :

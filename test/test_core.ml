@@ -34,6 +34,45 @@ let test_scenario_incremental_updates () =
   Alcotest.(check bool) "few recomputes" true
     (Scenario.last_path_recompute_count s <= max 2 (n_pairs / 10))
 
+(* Every round's commodity paths carry the link indices of that
+   round's snapshot: the store resolves kept paths again on each
+   update.  A path kept across rounds whose indices moved shows the
+   check is not vacuous. *)
+let test_path_links_fresh () =
+  List.iter
+    (fun (scale, cross_shell) ->
+      let s =
+        Scenario.create
+          ~config:{ Scenario.default_config with Scenario.scale; cross_shell; warmup_s = 20.0 }
+          ()
+      in
+      let moved = ref 0 in
+      let previous = Hashtbl.create 256 in
+      for r = 0 to 19 do
+        let inst = Scenario.instance_at s ~time_s:(5.0 *. float_of_int r) in
+        let current = Hashtbl.create 256 in
+        Array.iter
+          (fun (c : Instance.commodity) ->
+            Array.iteri
+              (fun p path ->
+                let links = c.Instance.path_links.(p) in
+                Alcotest.(check bool) "links resolved in this round's snapshot" true
+                  (Sate_paths.Path.link_indices inst.Instance.snapshot path = Some links);
+                let key = path.Sate_paths.Path.nodes in
+                (match Hashtbl.find_opt previous key with
+                | Some old when old <> links -> incr moved
+                | _ -> ());
+                Hashtbl.replace current key links)
+              c.Instance.paths)
+          inst.Instance.commodities;
+        Hashtbl.reset previous;
+        Hashtbl.iter (Hashtbl.replace previous) current
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "some kept path's indices moved at scale %d" scale)
+        true (!moved > 0))
+    [ (66, Builder.Lasers); (396, Builder.Ground_relays) ]
+
 let test_method_names () =
   Alcotest.(check string) "lp" "lp-optimal" (Method.name Method.Lp);
   Alcotest.(check string) "pop" "pop-4" (Method.name (Method.Pop 4));
@@ -156,4 +195,5 @@ let suite =
     Alcotest.test_case "offline mlu" `Quick test_offline_mlu;
     Alcotest.test_case "per flow ratios" `Quick test_per_flow_ratios;
     Alcotest.test_case "control plane delays" `Quick test_control_plane_delays;
-    Alcotest.test_case "direct satellites fast" `Quick test_control_plane_direct_faster ]
+    Alcotest.test_case "direct satellites fast" `Quick test_control_plane_direct_faster;
+    Alcotest.test_case "path links fresh" `Quick test_path_links_fresh ]

@@ -132,8 +132,8 @@ let iridium_pairs () =
 let path_db_fingerprint db =
   Array.to_list (Path_db.pairs db)
   |> List.map (fun (src, dst) ->
-         let paths = Path_db.paths db ~src ~dst in
-         ((src, dst), List.map Path.to_list paths))
+         let e = Path_db.find db ~src ~dst in
+         ((src, dst), Array.map Path.to_list e.Path_db.paths, e.Path_db.links))
 
 let test_path_db_deterministic () =
   let b = Builder.create Constellation.iridium in

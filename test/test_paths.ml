@@ -247,7 +247,11 @@ let test_path_db_compute_and_update () =
   let db2 = Path_db.add_pairs db s0 [ (1, 2) ] in
   Alcotest.(check int) "four pairs" 4 (fst (Path_db.stats db2));
   Alcotest.(check bool) "existing untouched" true
-    (Path_db.paths db2 ~src:0 ~dst:20 = Path_db.paths db ~src:0 ~dst:20)
+    (Path_db.find db2 ~src:0 ~dst:20 = Path_db.find db ~src:0 ~dst:20);
+  (* A store searches new pairs only on its own snapshot. *)
+  Alcotest.check_raises "add on another snapshot"
+    (Invalid_argument "Path_db.add_pairs: not the store's snapshot") (fun () ->
+      ignore (Path_db.add_pairs db (Builder.snapshot b ~time_s:1.0) [ (1, 2) ]))
 
 let test_path_db_update_after_break () =
   let b = Builder.create iridium in
@@ -255,7 +259,7 @@ let test_path_db_update_after_break () =
   let pairs = [ (0, 20); (5, 40) ] in
   let db = Path_db.compute iridium s0 ~pairs ~k:3 in
   (* Remove the links of the first stored path of pair (0, 20). *)
-  let victim = List.hd (Path_db.paths db ~src:0 ~dst:20) in
+  let victim = (Path_db.find db ~src:0 ~dst:20).Path_db.paths.(0) in
   let nodes = Path.to_list victim in
   let rec pairs_of = function
     | a :: (b :: _ as rest) -> (a, b) :: pairs_of rest
@@ -266,9 +270,13 @@ let test_path_db_update_after_break () =
   Alcotest.(check bool) "at least one pair recomputed" true (recomputed >= 1);
   List.iter
     (fun (src, dst) ->
-      List.iter
-        (fun p -> Alcotest.(check bool) "paths valid after update" true (Path.valid_in degraded p))
-        (Path_db.paths db' ~src ~dst))
+      let e = Path_db.find db' ~src ~dst in
+      Array.iteri
+        (fun i p ->
+          Alcotest.(check bool) "paths valid after update" true (Path.valid_in degraded p);
+          Alcotest.(check bool) "links resolved in the new snapshot" true
+            (Path.link_indices degraded p = Some e.Path_db.links.(i)))
+        e.Path_db.paths)
     pairs
 
 let test_link_indices () =

@@ -194,8 +194,8 @@ let test_carryover_drops_invalid_paths () =
   let inst = Helpers.iridium_instance () in
   let lp = Lp_solver.solve inst in
   (* Remove a carrying link; carrying the allocation onto the same
-     demand and stored paths over the degraded snapshot must drop the
-     flows on paths using it. *)
+     demand over the degraded snapshot, with the path store updated
+     there as Scenario does, must drop the flows on paths using it. *)
   let loads = Allocation.link_loads inst lp in
   let victim = ref (-1) in
   Array.iteri (fun li l -> if !victim < 0 && l > 0.0 then victim := li) loads;
@@ -205,10 +205,24 @@ let test_carryover_drops_invalid_paths () =
     let degraded = Snapshot.remove_links snap [ (l.Link.u, l.Link.v) ] in
     let demand = Instance.demand inst in
     let db = Path_db.compute Constellation.iridium snap ~pairs:(Demand.pairs demand) ~k:3 in
+    let db, _ = Path_db.update db degraded in
     let restricted = Online.carryover inst lp (Instance.make degraded demand db) in
     Alcotest.(check bool) "flow dropped" true
       (Allocation.total_flow restricted < Allocation.total_flow lp)
   end
+
+(* A store lives on one snapshot; an instance on any other one is
+   refused rather than given stale link indices. *)
+let test_make_other_snapshot () =
+  let inst = Helpers.iridium_instance () in
+  let snap = inst.Instance.snapshot in
+  let demand = Instance.demand inst in
+  let db = Path_db.compute Constellation.iridium snap ~pairs:(Demand.pairs demand) ~k:3 in
+  let b = Sate_topology.Builder.create Constellation.iridium in
+  let later = Sate_topology.Builder.snapshot b ~time_s:5.0 in
+  Alcotest.check_raises "other snapshot"
+    (Invalid_argument "Instance.make: path store is not on this snapshot") (fun () ->
+      ignore (Instance.make later demand db))
 
 let test_verify_mode_all_objectives () =
   (* ~verify:true certifies every simplex outcome and re-audits the
@@ -353,4 +367,5 @@ let suite =
       test_rebuild_on_degraded_snapshot;
     Alcotest.test_case "verify raises on solver failure" `Quick
       test_verify_raises_on_solver_failure;
-    Alcotest.test_case "lp allocation" `Quick test_lp_allocation ]
+    Alcotest.test_case "lp allocation" `Quick test_lp_allocation;
+    Alcotest.test_case "make on another snapshot" `Quick test_make_other_snapshot ]
