@@ -171,7 +171,7 @@ let tab1 () =
     (fun scale ->
       let s = scenario ~scale ~lambda:8.0 ~k:10 () in
       let inst = Scenario.instance_at s ~time_s:0.0 in
-      let demand = Scenario.demand_at s ~time_s:0.5 in
+      let demand = Instance.demand (Scenario.instance_at s ~time_s:0.5) in
       let r = Volume.of_instance ~k:10 inst demand in
       rowf
         "tab1 scale=%5d  path %10.4g -> %10.4g GB   traffic %10.4g -> %10.4g GB   reduction %8.0fx"
@@ -339,18 +339,6 @@ let fig10ab () =
     [ ("lasers", Builder.Lasers); ("relays", Builder.Ground_relays) ]
   in
   let lambdas = if full then [ 4.0; 8.0; 16.0; 24.0 ] else [ 6.0; 12.0; 18.0 ] in
-  (* The paper replays each baseline at its Starlink-scale cadence
-     (Gurobi 47 s, POP 25 s, ECMP 54 s; SaTE every second). *)
-  let cadence = function
-    | Method.Lp -> Some 47_000.0
-    | Method.Pop _ -> Some 25_000.0
-    | Method.Ecmp_wf -> Some 54_000.0
-    | Method.Sate _ -> Some 17.0
-    | Method.Satellite_routing -> Some 0.0
-    | Method.Lp_utility | Method.Max_min | Method.Sate_mlu _ | Method.Teal _
-    | Method.Harp _ ->
-        None
-  in
   List.iter
     (fun (mode_name, mode) ->
       let model = trained_model ~mode () in
@@ -361,11 +349,13 @@ let fig10ab () =
               Method.Satellite_routing ]
           in
           (* Each method gets its own (identically seeded) scenario,
-             since Scenario.t is stateful. *)
+             since Scenario.t is stateful, and is replayed at the
+             latency the paper measured at Starlink scale. *)
           List.iter
             (fun m ->
               let r =
-                Online.evaluate ?latency_override_ms:(cadence m) ~duration_s:45.0
+                Online.evaluate ?latency_override_ms:(Method.starlink_latency_ms m)
+                  ~duration_s:45.0
                   (scenario ~mode ~lambda ()) m
               in
               rowf "fig10ab %-7s lambda=%4.1f  %-18s satisfied=%.3f (rounds=%d)"

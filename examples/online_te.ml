@@ -26,26 +26,22 @@ let () =
   let model = Model.create ~seed:1 () in
   Printf.printf "training SaTE...\n%!";
   ignore (Trainer.train ~epochs:30 model samples);
-  (* Replay each method at the cadence the paper measured on Starlink
+  (* Replay each method at the latency the paper measured on Starlink
      (Gurobi 47 s, POP 25 s, ECMP+WF 54 s; SaTE 17 ms). *)
-  let cases =
-    [ (Method.Sate model, Some 17.0);
-      (Method.Lp, Some 47_000.0);
-      (Method.Pop 4, Some 25_000.0);
-      (Method.Ecmp_wf, Some 54_000.0);
-      (Method.Satellite_routing, Some 0.0) ]
-  in
   List.iter
-    (fun (m, cadence) ->
+    (fun m ->
       let s =
         Scenario.create
           ~config:{ Scenario.default_config with Scenario.lambda = lambda }
           ()
       in
-      let r = Online.evaluate ?latency_override_ms:cadence ~duration_s:45.0 s m in
+      let r =
+        Online.evaluate ?latency_override_ms:(Method.starlink_latency_ms m)
+          ~duration_s:45.0 s m
+      in
       Printf.printf "%-18s online satisfied=%5.1f%%  (TE rounds completed: %d)\n%!"
         r.Online.method_name
         (100.0 *. r.Online.mean_satisfied)
         r.Online.recomputations)
-    cases;
+    [ Method.Sate model; Method.Lp; Method.Pop 4; Method.Ecmp_wf; Method.Satellite_routing ];
   print_endline "low computation latency converts directly into satisfied demand."

@@ -1,11 +1,12 @@
 (** Progressive filling (water filling) over candidate paths.
 
-    The shared engine behind {!Ecmp_wf} and {!Max_min}: all active
-    commodities raise their rate at the same speed, splitting each
-    increment equally over their active paths, until a resource
-    saturates or the demand is met.  Freezing the finished ones and
-    repeating yields the classic max-min-fair fixed point over the
-    chosen path sets. *)
+    The shared engine behind {!Ecmp_wf} ({!min_hop_paths}) and
+    max-min fair filling ([Sate_core.Method.Max_min], {!all_paths}):
+    all active commodities raise their rate at the same speed,
+    splitting each increment equally over their active paths, until a
+    resource saturates or the demand is met.  Freezing the finished
+    ones and repeating yields the classic max-min-fair fixed point over
+    the chosen path sets. *)
 
 val solve :
   path_choice:(Sate_te.Instance.commodity -> int list) ->

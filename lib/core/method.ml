@@ -32,11 +32,19 @@ let solve m inst =
   | Lp_utility -> Lp_solver.solve ~objective:Lp_solver.Max_log_utility inst
   | Pop k -> Sate_baselines.Pop.solve ~k inst
   | Ecmp_wf -> Sate_baselines.Ecmp_wf.solve inst
-  | Max_min -> Sate_baselines.Max_min.solve inst
+  | Max_min -> Sate_baselines.Filling.(solve ~path_choice:all_paths) inst
   | Satellite_routing -> Sate_baselines.Satellite_routing.solve inst
   | Sate model | Sate_mlu model -> Sate_gnn.Model.predict model inst
   | Teal model -> Sate_baselines.Teal_like.predict model inst
   | Harp model -> Sate_baselines.Harp_like.predict model inst
+
+let starlink_latency_ms = function
+  | Sate _ -> Some 17.0
+  | Lp -> Some 47_000.0
+  | Pop _ -> Some 25_000.0
+  | Ecmp_wf -> Some 54_000.0
+  | Satellite_routing -> Some 0.0
+  | Lp_utility | Max_min | Sate_mlu _ | Teal _ | Harp _ -> None
 
 let solve_timed m inst =
   match m with

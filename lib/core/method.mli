@@ -8,7 +8,10 @@ type t =
           fairness instead of raw throughput. *)
   | Pop of int  (** POP with k partitions. *)
   | Ecmp_wf
-  | Max_min  (** Max-min fair progressive filling (Appendix H.4). *)
+  | Max_min
+      (** Max-min fair progressive filling over all candidate paths
+          (Appendix H.4): every unfrozen commodity's rate rises at the
+          same speed until a resource saturates. *)
   | Satellite_routing
   | Sate of Sate_gnn.Model.t
   | Sate_mlu of Sate_gnn.Model.t
@@ -20,6 +23,13 @@ val name : t -> string
 
 val solve : t -> Sate_te.Instance.t -> Sate_te.Allocation.t
 (** Always returns a feasible allocation. *)
+
+val starlink_latency_ms : t -> float option
+(** The computation latency the paper measured at Starlink scale
+    (Sec. 5.4): SaTE 17 ms, LP (Gurobi) 47 s, POP 25 s, ECMP-WF 54 s,
+    and 0 for the distributed satellite routing; [None] for the
+    methods it gives no figure for.  Online replays pass it as
+    {!Online.evaluate}'s [latency_override_ms]. *)
 
 val solve_timed : t -> Sate_te.Instance.t -> Sate_te.Allocation.t * float
 (** Allocation plus computational latency in milliseconds.  For POP

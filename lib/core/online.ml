@@ -6,9 +6,8 @@ type report = {
   method_name : string;
   mean_satisfied : float;
   per_tick : (float * float) list;
-  mean_latency_ms : float;
   recomputations : int;
-  debug_violations : int;
+  violations : int;
 }
 
 let carryover (old_inst : Instance.t) old_alloc (new_inst : Instance.t) =
@@ -41,74 +40,69 @@ let carryover (old_inst : Instance.t) old_alloc (new_inst : Instance.t) =
     alloc;
   Allocation.trim new_inst alloc
 
-let evaluate ?(tick_s = 1.0) ?latency_override_ms ?(debug = false) ~duration_s
-    scenario m =
-  let latencies = ref [] in
-  let recomputations = ref 0 in
-  let violation_count = ref 0 in
-  (* Debug mode: every allocation the harness reports on must satisfy
-     the feasibility invariants of its instance — carryover + trim are
-     supposed to guarantee that.  Violations are counted (and logged)
-     rather than fatal so a long run reports them all. *)
+(* What the loop carries from one tick to the next. *)
+type state = {
+  active : (Instance.t * Allocation.t) option;  (* in effect; None before t = 0 *)
+  pending : (float * (Instance.t * Allocation.t)) option;  (* landing time, result *)
+  per_tick : (float * float) list;  (* newest first *)
+  recomputations : int;
+  violations : int;
+}
+
+let evaluate ?(tick_s = 1.0) ?latency_override_ms ~duration_s scenario m =
+  let latency_s = Option.value latency_override_ms ~default:0.0 /. 1000.0 in
+  (* Every allocation the loop serves or scores must satisfy the
+     feasibility invariants of its instance (carryover and trim
+     guarantee it).  Violations are logged and counted, not fatal, so
+     a long run reports them all. *)
   let audit inst alloc =
-    if debug then
-      match Allocation.violations inst alloc with
-      | [] -> ()
-      | vs ->
-          violation_count := !violation_count + List.length vs;
-          List.iter
-            (fun v ->
-              Printf.eprintf "[online debug] %s: %s\n%!" (Method.name m)
-                (Allocation.violation_to_string v))
-            vs
+    let vs = Allocation.violations inst alloc in
+    List.iter
+      (fun v ->
+        Printf.eprintf "[online] %s: %s\n%!" (Method.name m)
+          (Allocation.violation_to_string v))
+      vs;
+    List.length vs
   in
-  let compute inst =
-    let alloc, measured_ms = Method.solve_timed m inst in
-    audit inst alloc;
-    let ms =
-      match latency_override_ms with Some ms -> ms | None -> measured_ms
-    in
-    latencies := ms :: !latencies;
-    incr recomputations;
-    (alloc, ms)
-  in
-  (* Warm start: the allocation computed on the t=0 inputs is in
-     effect from the beginning; the next round starts immediately. *)
-  let inst0 = Scenario.instance_at scenario ~time_s:0.0 in
-  let alloc0, ms0 = compute inst0 in
-  let active = ref (inst0, alloc0) in
-  let pending = ref None in
-  (* (finish_time, inst, alloc) *)
-  pending := Some (ms0 /. 1000.0, inst0, alloc0);
-  let per_tick = ref [] in
-  let ticks = int_of_float (Float.ceil (duration_s /. tick_s)) in
-  for i = 1 to ticks do
+  (* One round at tick [i]: once the previous computation has landed
+     (at t = 0 there is none), it goes into effect and the next one
+     starts on the current inputs.  Then every tick after t = 0 scores
+     the allocation in effect, carried over onto the current instance. *)
+  let step st i =
     let now = float_of_int i *. tick_s in
     let inst = Scenario.instance_at scenario ~time_s:now in
-    (* Land a finished computation, then start the next round on
-       current inputs. *)
-    (match !pending with
-    | Some (finish, p_inst, p_alloc) when now >= finish ->
-        active := (p_inst, p_alloc);
-        let alloc, ms = compute inst in
-        pending := Some (now +. (ms /. 1000.0), inst, alloc)
-    | Some _ | None -> ());
-    let old_inst, old_alloc = !active in
-    let effective = carryover old_inst old_alloc inst in
-    audit inst effective;
-    let satisfied = Allocation.satisfied_ratio inst effective in
-    per_tick := (now, satisfied) :: !per_tick
-  done;
-  let per_tick = List.rev !per_tick in
+    let st =
+      match st.pending with
+      | Some (lands_s, _) when now < lands_s -> st
+      | landed ->
+          let alloc = Method.solve m inst in
+          let fresh = (inst, alloc) in
+          { st with
+            (* Warm start: the t = 0 result is in effect at once. *)
+            active = Some (match landed with Some (_, done_) -> done_ | None -> fresh);
+            pending = Some (now +. latency_s, fresh);
+            recomputations = st.recomputations + 1;
+            violations = st.violations + audit inst alloc }
+    in
+    match st.active with
+    | Some (old_inst, old_alloc) when i > 0 ->
+        let effective = carryover old_inst old_alloc inst in
+        { st with
+          per_tick = (now, Allocation.satisfied_ratio inst effective) :: st.per_tick;
+          violations = st.violations + audit inst effective }
+    | _ -> st
+  in
+  let ticks = int_of_float (Float.ceil (duration_s /. tick_s)) in
+  let rec run st i = if i > ticks then st else run (step st i) (i + 1) in
+  let st =
+    run { active = None; pending = None; per_tick = []; recomputations = 0; violations = 0 } 0
+  in
+  let per_tick = List.rev st.per_tick in
   let n = List.length per_tick in
   { method_name = Method.name m;
     mean_satisfied =
       (if n = 0 then 0.0
        else List.fold_left (fun acc (_, s) -> acc +. s) 0.0 per_tick /. float_of_int n);
     per_tick;
-    mean_latency_ms =
-      (let l = !latencies in
-       if l = [] then 0.0
-       else List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l));
-    recomputations = !recomputations;
-    debug_violations = !violation_count }
+    recomputations = st.recomputations;
+    violations = st.violations }

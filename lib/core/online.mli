@@ -17,13 +17,12 @@ type report = {
   method_name : string;
   mean_satisfied : float;  (** Mean per-tick satisfied demand. *)
   per_tick : (float * float) list;  (** (time_s, satisfied ratio). *)
-  mean_latency_ms : float;  (** Mean measured computation latency. *)
-  recomputations : int;  (** Completed TE rounds during the run. *)
-  debug_violations : int;
-      (** Feasibility violations observed in [~debug:true] mode
-          (always 0 otherwise).  A healthy method/harness pair reports
-          zero: every computed and carried-over allocation satisfies
-          {!Sate_te.Allocation.violations}. *)
+  recomputations : int;  (** TE rounds started during the run. *)
+  violations : int;
+      (** Feasibility violations ({!Sate_te.Allocation.violations}) of
+          every method result and every carried-over per-tick
+          allocation, each also printed to stderr.  A healthy
+          method/harness pair reports zero. *)
 }
 
 val carryover :
@@ -38,19 +37,18 @@ val carryover :
 val evaluate :
   ?tick_s:float ->
   ?latency_override_ms:float ->
-  ?debug:bool ->
   duration_s:float ->
   Scenario.t ->
   Method.t ->
   report
-(** Run the online loop for [duration_s] simulated seconds.  The
-    method recomputes as soon as its previous round lands (at least
-    every tick); latency is measured wall-clock unless
-    [latency_override_ms] pins it (useful to replay the paper's
-    Gurobi/POP/ECMP cadences of 47/25/54 s).
+(** Run the online loop for [duration_s] simulated seconds.
 
-    [~debug:true] (default false) audits every allocation the harness
-    touches — each method result and each carried-over per-tick
-    allocation — against the feasibility invariants of its instance;
-    violations are printed to stderr and counted in
-    [debug_violations]. *)
+    The run is on a simulated clock that never reads the wall clock:
+    a computation started at [t] lands at [t + latency], where the
+    latency is [latency_override_ms] (default 0 ms; use it to replay
+    the paper's Starlink cadences, {!Method.starlink_latency_ms}).
+    The allocation computed on the t = 0 inputs is in effect from the
+    start.  After that the method recomputes at most once per tick:
+    only at a tick, and only once its previous round has landed; the
+    landed result goes into effect at that tick.  With the default
+    0 ms it recomputes at every tick. *)

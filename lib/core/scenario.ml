@@ -50,12 +50,6 @@ let config t = t.config
 
 let constellation t = t.constellation
 
-let demand_at t ~time_s =
-  let snap = Builder.snapshot t.builder ~time_s in
-  Generator.advance t.generator ~to_s:(time_s +. t.config.warmup_s);
-  let demand, _, _ = Generator.demand_at t.generator snap in
-  demand
-
 let instance_at t ~time_s =
   let snap = Builder.snapshot t.builder ~time_s in
   Generator.advance t.generator ~to_s:(time_s +. t.config.warmup_s);

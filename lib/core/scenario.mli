@@ -32,9 +32,6 @@ val instance_at : t -> time_s:float -> Sate_te.Instance.t
     calls).  Uplink/downlink capacities come from the generator's
     per-connection model. *)
 
-val demand_at : t -> time_s:float -> Sate_traffic.Demand.t
-(** Just the traffic matrix (advances time like {!instance_at}). *)
-
 val last_path_recompute_count : t -> int
 (** Pairs recomputed by the most recent incremental path update. *)
 

@@ -1,7 +1,7 @@
 (* Tests for the extension surface: fairness objectives (Eq. 3 /
    Appendix H.4) and fine-tuning (Sec. 7). *)
 
-module Max_min = Sate_baselines.Max_min
+module Method = Sate_core.Method
 module Ecmp_wf = Sate_baselines.Ecmp_wf
 module Lp_solver = Sate_te.Lp_solver
 module Allocation = Sate_te.Allocation
@@ -16,7 +16,7 @@ module Stats = Sate_util.Stats
 
 let test_max_min_feasible () =
   let inst = Helpers.congested_instance () in
-  let alloc = Max_min.solve inst in
+  let alloc = Method.solve Method.Max_min inst in
   Alcotest.(check bool) "feasible" true (Allocation.is_feasible inst alloc)
 
 let test_max_min_reduces_starvation () =
@@ -25,7 +25,7 @@ let test_max_min_reduces_starvation () =
     Allocation.per_commodity_ratio inst a
     |> Array.fold_left (fun acc r -> if r < 0.05 then acc + 1 else acc) 0
   in
-  let mm = starved (Max_min.solve inst) in
+  let mm = starved (Method.solve Method.Max_min inst) in
   let bp = starved (Sate_baselines.Satellite_routing.solve inst) in
   Alcotest.(check bool)
     (Printf.sprintf "max-min starves fewer flows (%d <= %d)" mm bp)
@@ -34,7 +34,7 @@ let test_max_min_reduces_starvation () =
 let test_max_min_uses_all_paths () =
   (* Unlike ECMP, max-min may spread onto longer candidate paths. *)
   let inst = Helpers.congested_instance () in
-  let mm = Allocation.total_flow (Max_min.solve inst) in
+  let mm = Allocation.total_flow (Method.solve Method.Max_min inst) in
   let ecmp = Allocation.total_flow (Ecmp_wf.solve inst) in
   Alcotest.(check bool) "all-path filling carries at least min-hop filling" true
     (mm >= ecmp *. 0.8)

@@ -179,15 +179,17 @@ let report_fingerprint (r : Online.report) =
   (r.Online.method_name, r.Online.mean_satisfied, r.Online.per_tick,
    r.Online.recomputations)
 
-(* With latency pinned, an online run depends on neither wall-clock
-   time nor pool size; Path_db still fans out inside it. *)
+(* An online run depends on neither wall-clock time nor pool size,
+   with the latency pinned or at its default; Path_db still fans out
+   inside it. *)
 let test_evaluate_deterministic () =
   let run () =
     List.map
       (fun (m, latency_override_ms) ->
         report_fingerprint
-          (Online.evaluate ~latency_override_ms ~duration_s:3.0 (small_scenario ()) m))
-      [ (Method.Ecmp_wf, 54000.0); (Method.Satellite_routing, 0.0) ]
+          (Online.evaluate ?latency_override_ms ~duration_s:3.0 (small_scenario ()) m))
+      [ (Method.Ecmp_wf, Some 54000.0); (Method.Satellite_routing, Some 0.0);
+        (Method.Ecmp_wf, None) ]
   in
   let sequential = Par.with_domains 1 run in
   List.iter
