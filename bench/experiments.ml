@@ -358,7 +358,7 @@ let fig10ab () =
                   ~duration_s:45.0
                   (scenario ~mode ~lambda ()) m
               in
-              rowf "fig10ab %-7s lambda=%4.1f  %-18s satisfied=%.3f (rounds=%d)"
+              rowf "fig10ab %-7s lambda=%4.1f  %-18s satisfied=%.3f (started=%d)"
                 mode_name lambda r.Online.method_name r.Online.mean_satisfied
                 r.Online.recomputations)
             methods)

@@ -39,7 +39,7 @@ let () =
         Online.evaluate ?latency_override_ms:(Method.starlink_latency_ms m)
           ~duration_s:45.0 s m
       in
-      Printf.printf "%-18s online satisfied=%5.1f%%  (TE rounds completed: %d)\n%!"
+      Printf.printf "%-18s online satisfied=%5.1f%%  (TE rounds started: %d)\n%!"
         r.Online.method_name
         (100.0 *. r.Online.mean_satisfied)
         r.Online.recomputations)

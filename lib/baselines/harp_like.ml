@@ -38,32 +38,41 @@ let max_paths_per_link = 16
 
 let path_pair_edges (g : Te_graph.t) =
   let n_links = Array.length g.Te_graph.link_caps in
-  let per_link = Array.make n_links [] in
+  (* The first [max_paths_per_link] paths on each snapshot link, in
+     incidence order, in row [l] of [members]. *)
+  let count = Array.make n_links 0 in
+  let members = Array.make (n_links * max_paths_per_link) 0 in
   Array.iteri
     (fun i p ->
       let l = g.Te_graph.incidence_link.(i) in
-      if List.length per_link.(l) < max_paths_per_link then
-        per_link.(l) <- p :: per_link.(l))
+      if count.(l) < max_paths_per_link then begin
+        members.((l * max_paths_per_link) + count.(l)) <- p;
+        count.(l) <- count.(l) + 1
+      end)
     g.Te_graph.incidence_path;
-  let src = ref [] and dst = ref [] and feat = ref [] in
-  Array.iteri
-    (fun l paths ->
-      let cap = g.Te_graph.link_caps.(l) /. 200.0 in
-      List.iter
-        (fun p ->
-          List.iter
-            (fun q ->
-              if p <> q then begin
-                src := p :: !src;
-                dst := q :: !dst;
-                feat := cap :: !feat
-              end)
-            paths)
-        paths)
-    per_link;
-  { Te_graph.src = Array.of_list !src;
-    dst = Array.of_list !dst;
-    feat = Tensor.of_column (Array.of_list !feat) }
+  (* Every ordered pair of distinct paths sharing a link, links in
+     descending index order. *)
+  let iter_pairs f =
+    for l = n_links - 1 downto 0 do
+      let first = l * max_paths_per_link in
+      let last = first + count.(l) - 1 in
+      for i = first to last do
+        for j = first to last do
+          if members.(i) <> members.(j) then f l members.(i) members.(j)
+        done
+      done
+    done
+  in
+  let m = ref 0 in
+  iter_pairs (fun _ _ _ -> incr m);
+  let src = Array.make !m 0 and dst = Array.make !m 0 and feat = Tensor.create !m 1 in
+  let e = ref 0 in
+  iter_pairs (fun l p q ->
+      src.(!e) <- p;
+      dst.(!e) <- q;
+      feat.Tensor.data.(!e) <- g.Te_graph.link_caps.(l) /. Te_graph.capacity_scale;
+      incr e);
+  { Te_graph.src; dst; feat }
 
 let forward t (g : Te_graph.t) =
   let base_ratios = Model.forward t.base g in

@@ -125,13 +125,7 @@ let all_ops ?(seed = 7) () =
       ( "segment_softmax",
         (fun x ->
           A.sum (A.mul (A.segment_softmax x [| 0; 0; 1; 1; 1 |]) (A.const c51))),
-        rand rng 5 1 );
-      ( "div_scalar-numerator",
-        (fun x -> sq (A.div_scalar x (A.scalar 2.5))),
-        rand rng 2 3 );
-      ( "div_scalar-denominator",
-        (fun s -> A.sum (A.square (A.div_scalar (A.const m43) s))),
-        Tensor.of_array ~rows:1 ~cols:1 [| 1.3 |] ) ]
+        rand rng 5 1 ) ]
   in
   (* GAT edge kernels: 5 edges into 3 destinations (one of them
      empty) from 4 sources.  The node terms of the scores are below

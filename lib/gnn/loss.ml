@@ -23,12 +23,13 @@ let compute cfg (g : Te_graph.t) ~pred_ratios ~label_ratios =
   let total_demand =
     (* Each path carries its commodity's demand; the per-commodity
        demand is the traffic feature times its scale. *)
-    Float.max 1.0 (Tensor.sum g.Te_graph.traffic_feat *. 100.0)
+    Float.max 1.0 (Tensor.sum g.Te_graph.traffic_feat *. Te_graph.demand_scale)
   in
-  (* Link loads via the (path, link) incidence. *)
+  (* Link loads via the (path, link) incidence, one row per snapshot
+     link; a link no path uses adds a zero penalty. *)
   let n_links = Array.length g.Te_graph.link_caps in
   let penalty =
-    if n_links = 0 || Array.length g.Te_graph.incidence_path = 0 then A.scalar 0.0
+    if Array.length g.Te_graph.incidence_path = 0 then A.scalar 0.0
     else begin
       let per_entry = A.gather_rows x g.Te_graph.incidence_path in
       let loads = A.scatter_add_rows per_entry g.Te_graph.incidence_link ~rows:n_links in
@@ -55,12 +56,15 @@ let compute cfg (g : Te_graph.t) ~pred_ratios ~label_ratios =
   A.add supervised opt_term
 
 let label_ratios_of_alloc (inst : Instance.t) alloc =
-  let ratios = ref [] in
+  let ratios = Tensor.create (Array.fold_left (fun n r -> n + Array.length r) 0 alloc) 1 in
+  let i = ref 0 in
   Array.iteri
     (fun f rates ->
       let demand = inst.Instance.commodities.(f).Instance.demand_mbps in
       Array.iter
-        (fun r -> ratios := (if demand > 0.0 then r /. demand else 0.0) :: !ratios)
+        (fun r ->
+          ratios.Tensor.data.(!i) <- (if demand > 0.0 then r /. demand else 0.0);
+          incr i)
         rates)
     alloc;
-  Tensor.of_column (Array.of_list (List.rev !ratios))
+  ratios

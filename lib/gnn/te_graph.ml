@@ -2,6 +2,7 @@ open Sate_tensor
 module Instance = Sate_te.Instance
 module Snapshot = Sate_topology.Snapshot
 module Link = Sate_topology.Link
+module Path = Sate_paths.Path
 
 type edges = { src : int array; dst : int array; feat : Tensor.t }
 
@@ -29,62 +30,76 @@ let capacity_scale = 200.0
 
 let reverse e = { e with src = e.dst; dst = e.src }
 
+(* Two passes over the commodities: the first sizes every array, the
+   second fills them commodity-major, then path, then hop. *)
 let of_instance ?(with_access_relation = false) (inst : Instance.t) =
   let snap = inst.Instance.snapshot in
   let num_sats = Snapshot.num_nodes snap in
   let commodities = inst.Instance.commodities in
   let num_traffic = Array.length commodities in
-  (* Path nodes flattened commodity-major. *)
-  let num_paths =
-    Array.fold_left (fun acc c -> acc + Array.length c.Instance.paths) 0 commodities
-  in
+  let num_paths = Instance.num_paths inst in
+  let num_r2 = ref 0 and num_incidence = ref 0 in
+  Array.iter
+    (fun (c : Instance.commodity) ->
+      Array.iter
+        (fun (path : Path.t) -> num_r2 := !num_r2 + Array.length path.Path.nodes)
+        c.Instance.paths;
+      Array.iter
+        (fun links -> num_incidence := !num_incidence + Array.length links)
+        c.Instance.path_links)
+    commodities;
   let path_commodity = Array.make num_paths 0 in
   let path_demand = Array.make num_paths 0.0 in
-  let path_len = Array.make num_paths 0.0 in
+  let path_feat = Tensor.create num_paths 1 in
   (* R2: path <-> satellites it crosses. *)
-  let r2_src = ref [] and r2_dst = ref [] and r2_feat = ref [] in
-  (* R3: path <-> its traffic demand. *)
-  let r3_src = ref [] and r3_dst = ref [] and r3_feat = ref [] in
-  (* Incidence for the loss: (path, used-link) pairs. *)
-  let used = Instance.used_links inst in
-  let link_pos = Hashtbl.create (Array.length used) in
-  Array.iteri (fun pos li -> Hashtbl.replace link_pos li pos) used;
-  let inc_path = ref [] and inc_link = ref [] in
-  let p = ref 0 in
+  let r2 =
+    { src = Array.make !num_r2 0; dst = Array.make !num_r2 0; feat = Tensor.create !num_r2 1 }
+  in
+  (* R3: path <-> its traffic demand, one edge per path node. *)
+  let r3 =
+    { src = Array.init num_paths Fun.id;
+      dst = Array.make num_paths 0;
+      feat = Tensor.create num_paths 1 }
+  in
+  (* Incidence for the loss: (path, snapshot link) pairs. *)
+  let incidence_path = Array.make !num_incidence 0 in
+  let incidence_link = Array.make !num_incidence 0 in
+  let node = ref 0 and e2 = ref 0 and entry = ref 0 in
   Array.iteri
     (fun f (c : Instance.commodity) ->
       let k = float_of_int (Array.length c.Instance.paths) in
       Array.iteri
-        (fun pi (path : Sate_paths.Path.t) ->
-          let node = !p in
-          path_commodity.(node) <- f;
-          path_demand.(node) <- c.Instance.demand_mbps;
-          let hops = float_of_int (Sate_paths.Path.hops path) in
-          path_len.(node) <- hops /. 10.0;
-          Array.iteri
-            (fun hop sat ->
-              r2_src := node :: !r2_src;
-              r2_dst := sat :: !r2_dst;
-              r2_feat :=
-                (float_of_int hop /. Float.max 1.0 hops) :: !r2_feat)
-            path.Sate_paths.Path.nodes;
-          r3_src := node :: !r3_src;
-          r3_dst := f :: !r3_dst;
-          r3_feat := (k /. 10.0) :: !r3_feat;
-          Array.iter
-            (fun li ->
-              inc_path := node :: !inc_path;
-              inc_link := Hashtbl.find link_pos li :: !inc_link)
-            c.Instance.path_links.(pi);
-          incr p)
+        (fun pi (path : Path.t) ->
+          let p = !node in
+          path_commodity.(p) <- f;
+          path_demand.(p) <- c.Instance.demand_mbps;
+          let hops = float_of_int (Path.hops path) in
+          path_feat.Tensor.data.(p) <- hops /. 10.0;
+          (* Loops, not closures: a closure per path would box [hops]. *)
+          let nodes = path.Path.nodes in
+          for hop = 0 to Array.length nodes - 1 do
+            r2.src.(!e2) <- p;
+            r2.dst.(!e2) <- nodes.(hop);
+            r2.feat.Tensor.data.(!e2) <- float_of_int hop /. Float.max 1.0 hops;
+            incr e2
+          done;
+          r3.dst.(p) <- f;
+          r3.feat.Tensor.data.(p) <- k /. 10.0;
+          let hop_links = c.Instance.path_links.(pi) in
+          for j = 0 to Array.length hop_links - 1 do
+            incidence_path.(!entry) <- p;
+            incidence_link.(!entry) <- hop_links.(j);
+            incr entry
+          done;
+          incr node)
         c.Instance.paths)
     commodities;
   (* R1: one directed edge pair per live link. *)
   let links = snap.Snapshot.links in
   let m1 = 2 * Array.length links in
-  let r1_src = Array.make (max m1 0) 0 in
-  let r1_dst = Array.make (max m1 0) 0 in
-  let r1_feat = Tensor.create (max m1 0) 1 in
+  let r1_src = Array.make m1 0 in
+  let r1_dst = Array.make m1 0 in
+  let r1_feat = Tensor.create m1 1 in
   Array.iteri
     (fun i (l : Link.t) ->
       r1_src.(2 * i) <- l.Link.u;
@@ -102,40 +117,34 @@ let of_instance ?(with_access_relation = false) (inst : Instance.t) =
     Tensor.init num_traffic 1 (fun f _ ->
         commodities.(f).Instance.demand_mbps /. demand_scale)
   in
-  let to_edges src dst feat =
-    { src = Array.of_list (List.rev src);
-      dst = Array.of_list (List.rev dst);
-      feat = Tensor.of_column (Array.of_list (List.rev feat)) }
-  in
   let access =
     if not with_access_relation then None
-    else begin
-      (* Redundant access relation: traffic -> its endpoint satellites. *)
-      let src = ref [] and dst = ref [] and feat = ref [] in
-      Array.iteri
-        (fun f (c : Instance.commodity) ->
-          src := f :: f :: !src;
-          dst := c.Instance.dst :: c.Instance.src :: !dst;
-          feat :=
-            (c.Instance.demand_mbps /. demand_scale)
-            :: (c.Instance.demand_mbps /. demand_scale)
-            :: !feat)
-        commodities;
-      Some (to_edges !src !dst !feat)
-    end
+    else
+      (* Redundant access relation: traffic -> its source, then its
+         destination satellite. *)
+      let endpoint i =
+        let c = commodities.(i / 2) in
+        if i mod 2 = 0 then c.Instance.src else c.Instance.dst
+      in
+      Some
+        { src = Array.init (2 * num_traffic) (fun i -> i / 2);
+          dst = Array.init (2 * num_traffic) endpoint;
+          feat =
+            Tensor.init (2 * num_traffic) 1 (fun i _ ->
+                commodities.(i / 2).Instance.demand_mbps /. demand_scale) }
   in
   { num_sats;
     num_paths;
     num_traffic;
     sat_feat;
-    path_feat = Tensor.of_column path_len;
+    path_feat;
     traffic_feat;
     r1 = { src = r1_src; dst = r1_dst; feat = r1_feat };
-    r2 = to_edges !r2_src !r2_dst !r2_feat;
-    r3 = to_edges !r3_src !r3_dst !r3_feat;
+    r2;
+    r3;
     access;
     path_commodity;
     path_demand;
-    incidence_path = Array.of_list (List.rev !inc_path);
-    incidence_link = Array.of_list (List.rev !inc_link);
-    link_caps = Array.map (fun li -> links.(li).Link.capacity_mbps) used }
+    incidence_path;
+    incidence_link;
+    link_caps = Array.map (fun (l : Link.t) -> l.Link.capacity_mbps) links }

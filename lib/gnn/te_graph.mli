@@ -40,16 +40,26 @@ type t = {
   path_commodity : int array;  (** Commodity index of each path node. *)
   path_demand : float array;  (** Demand of each path's commodity. *)
   incidence_path : int array;
-      (** Flattened (path, link) incidence: path node per entry. *)
+      (** Flattened (path, link) incidence: path node per entry, one
+          entry per hop of every path, in path-node order. *)
   incidence_link : int array;
-      (** Used-link position per entry (into {!link_caps}). *)
-  link_caps : float array;  (** Capacity per used link. *)
+      (** Snapshot link index per entry: the instance's [path_links],
+          flattened in path-node order. *)
+  link_caps : float array;
+      (** Capacity of every snapshot link, indexed like
+          [snapshot.links]; links no path uses are included. *)
 }
+
+val demand_scale : float
+(** Mbps per unit of the demand features (traffic and access). *)
+
+val capacity_scale : float
+(** Mbps per unit of the link-capacity feature of R1. *)
 
 val of_instance : ?with_access_relation:bool -> Sate_te.Instance.t -> t
 (** Build the graph for a TE instance.  Feature scales are normalised
-    (demands by 100 Mbps, positions by path length) so embeddings
-    start O(1). *)
+    (demands by {!demand_scale}, capacities by {!capacity_scale},
+    positions by path length) so embeddings start O(1). *)
 
 val reverse : edges -> edges
 (** Swap edge direction (for the path -> sat / sat -> path pair). *)

@@ -323,18 +323,6 @@ let scalar_value t =
     invalid_arg "Autodiff.scalar_value: not a scalar";
   t.value.Tensor.data.(0)
 
-let div_scalar a s =
-  let sv = scalar_value s in
-  let out = node (Tensor.scale (1.0 /. sv) a.value) [ a; s ] in
-  out.back <-
-    (fun () ->
-      accumulate a (Tensor.scale (1.0 /. sv) out.grad);
-      let da =
-        Tensor.sum (Tensor.mul out.grad a.value) *. (-1.0 /. (sv *. sv))
-      in
-      accumulate s (Tensor.of_array ~rows:1 ~cols:1 [| da |]));
-  out
-
 let backward root =
   if root.value.Tensor.rows <> 1 || root.value.Tensor.cols <> 1 then
     invalid_arg "Autodiff.backward: root must be scalar";

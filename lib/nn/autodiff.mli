@@ -102,10 +102,6 @@ val scalar : float -> t
 val scalar_value : t -> float
 (** Value of a [1 x 1] node. *)
 
-val div_scalar : t -> t -> t
-(** [div_scalar a s] divides every element of [a] by the [1 x 1]
-    node [s] (gradients flow to both). *)
-
 (** {1 Backward pass} *)
 
 val backward : t -> unit

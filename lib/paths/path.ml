@@ -61,7 +61,3 @@ let link_indices snap t =
       end
   in
   fill 0
-
-let pp fmt t =
-  Format.fprintf fmt "[%s]"
-    (String.concat " -> " (Array.to_list (Array.map string_of_int t.nodes)))

@@ -38,5 +38,3 @@ val link_indices : Sate_topology.Snapshot.t -> t -> int array option
 (** Indices into [snapshot.links] of every hop (the Phi_pe relation of
     Appendix A), by {!Sate_topology.Snapshot.link_index}; [None] if a
     hop is missing, i.e. exactly when {!valid_in} is false. *)
-
-val pp : Format.formatter -> t -> unit

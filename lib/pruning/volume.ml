@@ -48,9 +48,3 @@ let of_instance ~k (inst : Instance.t) demand =
     else sqrt (float_of_int num_sats)
   in
   measure ~num_sats ~k ~avg_path_hops ~demand ~active_paths ~active_path_hops
-
-let pp fmt r =
-  Format.fprintf fmt
-    "scale %d: paths %.4g -> %.4g GB, traffic %.4g -> %.4g GB, reduction %.0fx"
-    r.scale r.original_path_gb r.pruned_path_gb r.original_traffic_gb
-    r.pruned_traffic_gb r.reduction

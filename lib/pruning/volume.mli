@@ -31,5 +31,3 @@ val measure :
 
 val of_instance : k:int -> Sate_te.Instance.t -> Sate_traffic.Demand.t -> report
 (** Convenience: derive all counts from a built instance. *)
-
-val pp : Format.formatter -> report -> unit

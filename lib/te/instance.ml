@@ -63,16 +63,6 @@ let num_paths t =
 let total_demand t =
   Array.fold_left (fun acc c -> acc +. c.demand_mbps) 0.0 t.commodities
 
-let used_links t =
-  let set = Hashtbl.create 256 in
-  Array.iter
-    (fun c ->
-      Array.iter (fun links -> Array.iter (fun li -> Hashtbl.replace set li ()) links) c.path_links)
-    t.commodities;
-  let arr = Array.of_list (Hashtbl.fold (fun k () acc -> k :: acc) set []) in
-  Array.sort compare arr;
-  arr
-
 let routable_demand t =
   Array.fold_left
     (fun acc c -> if Array.length c.paths > 0 then acc +. c.demand_mbps else acc)

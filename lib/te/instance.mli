@@ -58,10 +58,6 @@ val num_paths : t -> int
 
 val total_demand : t -> float
 
-val used_links : t -> int array
-(** Sorted indices of links appearing in any candidate path — the
-    only links that need capacity constraints (path pruning, §3.4). *)
-
 val routable_demand : t -> float
 (** Demand of commodities that have at least one candidate path — the
     best any path-based method can possibly satisfy. *)

@@ -71,6 +71,74 @@ let test_graph_memory_smaller_than_dense () =
   Alcotest.(check bool) "pruned graph smaller than the dense pair grid" true
     (elements < 66 * 66 * (1 + 3))
 
+(* A light-load instance: few flows, so some live links carry no
+   candidate path. *)
+let sparse_instance () = Helpers.iridium_instance ~lambda:1.0 ()
+
+let unused_links (inst : Instance.t) =
+  let links = inst.Instance.snapshot.Sate_topology.Snapshot.links in
+  let used = Array.make (Array.length links) false in
+  Array.iter
+    (fun (c : Instance.commodity) ->
+      Array.iter (Array.iter (fun l -> used.(l) <- true)) c.Instance.path_links)
+    inst.Instance.commodities;
+  Array.fold_left (fun n u -> if u then n else n + 1) 0 used
+
+(* The loss incidence names links by their snapshot index: it is the
+   instance's path_links flattened in path-node order, and link_caps
+   covers every snapshot link, used or not. *)
+let test_graph_incidence_is_path_links () =
+  let inst = sparse_instance () in
+  Alcotest.(check bool) "some link carries no path" true (unused_links inst > 0);
+  let g = graph_of inst in
+  let entries =
+    List.concat
+      (List.mapi
+         (fun p links -> List.map (fun l -> (p, l)) (Array.to_list links))
+         (List.concat_map
+            (fun (c : Instance.commodity) -> Array.to_list c.Instance.path_links)
+            (Array.to_list inst.Instance.commodities)))
+  in
+  Alcotest.(check (list (pair int int))) "incidence = flattened path_links" entries
+    (List.combine (Array.to_list g.Te_graph.incidence_path)
+       (Array.to_list g.Te_graph.incidence_link));
+  let links = inst.Instance.snapshot.Sate_topology.Snapshot.links in
+  Alcotest.(check int) "one capacity per snapshot link" (Array.length links)
+    (Array.length g.Te_graph.link_caps);
+  Array.iteri
+    (fun l (link : Sate_topology.Link.t) ->
+      Alcotest.(check (float 0.0)) "capacity of link l" link.Sate_topology.Link.capacity_mbps
+        g.Te_graph.link_caps.(l))
+    links
+
+(* Links no path uses add zero rows to the loss: its value and its
+   gradient are bit-equal to the same graph with the link arrays
+   compacted to the used links. *)
+let test_loss_ignores_unused_links () =
+  let inst = sparse_instance () in
+  Alcotest.(check bool) "some link carries no path" true (unused_links inst > 0);
+  let g = graph_of inst in
+  let used = List.sort_uniq compare (Array.to_list g.Te_graph.incidence_link) in
+  let position = Array.make (Array.length g.Te_graph.link_caps) (-1) in
+  List.iteri (fun i l -> position.(l) <- i) used;
+  let compacted =
+    { g with
+      Te_graph.incidence_link = Array.map (fun l -> position.(l)) g.Te_graph.incidence_link;
+      link_caps = Array.of_list (List.map (fun l -> g.Te_graph.link_caps.(l)) used) }
+  in
+  (* Ratios far above 1 overload links, so the penalty term counts. *)
+  let ratios = Tensor.init g.Te_graph.num_paths 1 (fun i _ -> float_of_int (i mod 7) *. 40.0) in
+  let labels = Tensor.init g.Te_graph.num_paths 1 (fun i _ -> float_of_int (i mod 3) /. 2.0) in
+  let run graph =
+    let pred = A.leaf (Tensor.copy ratios) in
+    let loss = Loss.compute Loss.default_config graph ~pred_ratios:pred ~label_ratios:labels in
+    A.backward loss;
+    (loss.A.value, pred.A.grad)
+  in
+  let value, grad = run g and value', grad' = run compacted in
+  Helpers.check_bits "loss value" value' value;
+  Helpers.check_bits "pred gradient" grad' grad
+
 let test_gat_shapes () =
   let rng = Rng.create 1 in
   let gat = Gat.create rng ~dim:8 ~heads:2 in
@@ -404,6 +472,8 @@ let suite =
     Alcotest.test_case "edge indices in range" `Quick test_graph_edge_indices_in_range;
     Alcotest.test_case "access relation ablation" `Quick test_graph_access_relation_ablation;
     Alcotest.test_case "graph memory" `Quick test_graph_memory_smaller_than_dense;
+    Alcotest.test_case "incidence is path_links" `Quick test_graph_incidence_is_path_links;
+    Alcotest.test_case "loss ignores unused links" `Quick test_loss_ignores_unused_links;
     Alcotest.test_case "gat shapes" `Quick test_gat_shapes;
     Alcotest.test_case "gat empty edges" `Quick test_gat_empty_edges;
     Alcotest.test_case "gat validation" `Quick test_gat_dim_heads_validation;
