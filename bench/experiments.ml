@@ -539,8 +539,8 @@ let fig15b () =
             (* Rebuild the instance against the degraded topology:
                stored paths crossing failed links disappear. *)
             let inst' =
-              Instance.of_demand ~up_caps:inst.Instance.up_caps
-                ~down_caps:inst.Instance.down_caps (Scenario.constellation s) snap'
+              let up_caps, down_caps = Instance.node_caps inst in
+              Instance.of_demand ~up_caps ~down_caps (Scenario.constellation s) snap'
                 (Instance.demand inst) ~k:(Scenario.config s).Scenario.k
             in
             let sat = Allocation.satisfied_ratio inst' (Model.predict model inst') in

@@ -142,7 +142,7 @@ let eval_cmd =
           (Allocation.is_feasible inst alloc);
         let s2 = scenario_of scale mode lambda (seed + 1) in
         let r = Online.evaluate ~duration_s:duration s2 (Method.Sate model) in
-        Printf.printf "online (%.0f s): satisfied=%.1f%% over %d rounds\n"
+        Printf.printf "online (%.0f s): satisfied=%.1f%% (rounds started: %d)\n"
           duration
           (100.0 *. r.Online.mean_satisfied)
           r.Online.recomputations;

@@ -16,9 +16,9 @@ module Rng = Sate_util.Rng
 let rebuild_against scenario (inst : Instance.t) snap =
   (* Re-derive candidate paths on the degraded topology; demands are
      unchanged. *)
-  Instance.of_demand ~up_caps:inst.Instance.up_caps ~down_caps:inst.Instance.down_caps
-    (Scenario.constellation scenario) snap (Instance.demand inst)
-    ~k:(Scenario.config scenario).Scenario.k
+  let up_caps, down_caps = Instance.node_caps inst in
+  Instance.of_demand ~up_caps ~down_caps (Scenario.constellation scenario) snap
+    (Instance.demand inst) ~k:(Scenario.config scenario).Scenario.k
 
 let () =
   print_endline "link-failure study, 66 satellites";

@@ -1,7 +1,6 @@
 module Instance = Sate_te.Instance
 module Allocation = Sate_te.Allocation
 module Snapshot = Sate_topology.Snapshot
-module Link = Sate_topology.Link
 
 let eps = 1e-9
 
@@ -9,22 +8,23 @@ let solve ~path_choice (inst : Instance.t) =
   let alloc = Allocation.zeros inst in
   let commodities = inst.Instance.commodities in
   let nc = Array.length commodities in
-  let links = inst.Instance.snapshot.Snapshot.links in
-  let headroom = Array.map (fun l -> l.Link.capacity_mbps) links in
-  let up_room = Array.copy inst.Instance.up_caps in
-  let down_room = Array.copy inst.Instance.down_caps in
+  let n_links = Array.length inst.Instance.snapshot.Snapshot.links in
+  let n = Snapshot.num_nodes inst.Instance.snapshot in
+  (* Headroom per resource of [Instance.caps]: links, uplinks,
+     downlinks. *)
+  let headroom = Array.copy inst.Instance.caps in
   let remaining = Array.map (fun c -> c.Instance.demand_mbps) commodities in
   let active_paths = Array.map path_choice commodities in
   let active = Array.map (fun ps -> ps <> [] ) active_paths in
   Array.iteri (fun f r -> if r <= eps then active.(f) <- false) remaining;
   let any_active () = Array.exists Fun.id active in
-  let guard = ref (Array.length links + Array.length (Allocation.zeros inst) + nc * 4 + 16) in
+  let guard = ref (n_links + (nc * 5) + 16) in
   while any_active () && !guard > 0 do
     decr guard;
-    (* Per-unit-increment load coefficient on every resource. *)
-    let link_coeff = Array.make (Array.length links) 0.0 in
-    let up_coeff = Array.make (Array.length up_room) 0.0 in
-    let down_coeff = Array.make (Array.length down_room) 0.0 in
+    (* Per-unit-increment load coefficient on every resource: a link
+       takes each active path's share, an endpoint the whole
+       increment. *)
+    let coeff = Array.make (Array.length headroom) 0.0 in
     Array.iteri
       (fun f (c : Instance.commodity) ->
         if active.(f) then begin
@@ -32,28 +32,18 @@ let solve ~path_choice (inst : Instance.t) =
           List.iter
             (fun p ->
               Array.iter
-                (fun li -> link_coeff.(li) <- link_coeff.(li) +. share)
+                (fun li -> coeff.(li) <- coeff.(li) +. share)
                 c.Instance.path_links.(p))
             active_paths.(f);
-          up_coeff.(c.Instance.src) <- up_coeff.(c.Instance.src) +. 1.0;
-          down_coeff.(c.Instance.dst) <- down_coeff.(c.Instance.dst) +. 1.0
+          let up = n_links + c.Instance.src and down = n_links + n + c.Instance.dst in
+          coeff.(up) <- coeff.(up) +. 1.0;
+          coeff.(down) <- coeff.(down) +. 1.0
         end)
       commodities;
-    (* Largest uniform increment before something saturates. *)
+    (* Largest uniform increment before something saturates; an
+       unbounded resource never does. *)
     let t = ref Float.infinity in
-    Array.iteri
-      (fun li coeff -> if coeff > eps then t := Float.min !t (headroom.(li) /. coeff))
-      link_coeff;
-    Array.iteri
-      (fun node coeff ->
-        if coeff > eps && Float.is_finite up_room.(node) then
-          t := Float.min !t (up_room.(node) /. coeff))
-      up_coeff;
-    Array.iteri
-      (fun node coeff ->
-        if coeff > eps && Float.is_finite down_room.(node) then
-          t := Float.min !t (down_room.(node) /. coeff))
-      down_coeff;
+    Array.iteri (fun r k -> if k > eps then t := Float.min !t (headroom.(r) /. k)) coeff;
     Array.iteri (fun f r -> if active.(f) then t := Float.min !t r) remaining;
     let t = if Float.is_finite !t then Float.max 0.0 !t else 0.0 in
     (* Apply the increment. *)
@@ -68,8 +58,9 @@ let solve ~path_choice (inst : Instance.t) =
                 (fun li -> headroom.(li) <- headroom.(li) -. share)
                 c.Instance.path_links.(p))
             active_paths.(f);
-          up_room.(c.Instance.src) <- up_room.(c.Instance.src) -. t;
-          down_room.(c.Instance.dst) <- down_room.(c.Instance.dst) -. t;
+          let up = n_links + c.Instance.src and down = n_links + n + c.Instance.dst in
+          headroom.(up) <- headroom.(up) -. t;
+          headroom.(down) <- headroom.(down) -. t;
           remaining.(f) <- remaining.(f) -. t
         end)
       commodities;
@@ -88,8 +79,8 @@ let solve ~path_choice (inst : Instance.t) =
                 active_paths.(f);
             if
               active_paths.(f) = []
-              || up_room.(c.Instance.src) <= eps
-              || down_room.(c.Instance.dst) <= eps
+              || headroom.(n_links + c.Instance.src) <= eps
+              || headroom.(n_links + n + c.Instance.dst) <= eps
             then active.(f) <- false
           end
         end)

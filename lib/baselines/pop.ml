@@ -1,19 +1,6 @@
 module Instance = Sate_te.Instance
 module Allocation = Sate_te.Allocation
-module Snapshot = Sate_topology.Snapshot
-module Link = Sate_topology.Link
 module Rng = Sate_util.Rng
-
-let scale_snapshot (snap : Snapshot.t) factor =
-  let links =
-    Array.to_list snap.Snapshot.links
-    |> List.map (fun l -> { l with Link.capacity_mbps = l.Link.capacity_mbps *. factor })
-  in
-  (* Links are passed in array order, so link indices (and therefore
-     the commodities' [path_links]) stay valid. *)
-  Snapshot.make ~time_s:snap.Snapshot.time_s ~num_sats:snap.Snapshot.num_sats
-    ~sat_positions:snap.Snapshot.sat_positions
-    ~relay_positions:snap.Snapshot.relay_positions ~links
 
 let solve_timed ?(k = 4) (inst : Instance.t) =
   let nc = Array.length inst.Instance.commodities in
@@ -23,8 +10,7 @@ let solve_timed ?(k = 4) (inst : Instance.t) =
     let rng = Rng.create 11 in
     let assignment = Array.init nc (fun _ -> Rng.int rng k) in
     let factor = 1.0 /. float_of_int k in
-    let scaled_snap = scale_snapshot inst.Instance.snapshot factor in
-    let scale_caps = Array.map (fun c -> c *. factor) in
+    let caps = Array.map (fun c -> c *. factor) inst.Instance.caps in
     let alloc = Allocation.zeros inst in
     let worst_ms = ref 0.0 in
     for part = 0 to k - 1 do
@@ -34,11 +20,10 @@ let solve_timed ?(k = 4) (inst : Instance.t) =
       in
       if members <> [] then begin
         let sub =
-          { Instance.snapshot = scaled_snap;
-            commodities =
+          { inst with
+            Instance.commodities =
               Array.of_list (List.map (fun f -> inst.Instance.commodities.(f)) members);
-            up_caps = scale_caps inst.Instance.up_caps;
-            down_caps = scale_caps inst.Instance.down_caps }
+            caps }
         in
         let t0 = Unix.gettimeofday () in
         let sub_alloc = Sate_te.Lp_solver.solve sub in

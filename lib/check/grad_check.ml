@@ -85,47 +85,51 @@ let all_ops ?(seed = 7) () =
   let v13 = rand rng 1 3 in
   let c51 = rand rng 5 1 in
   let sq x = A.sum (A.square x) in
+  let fixed x0 _ = Tensor.copy x0 in
+  (* Each case draws its input from its own generator, seeded by the
+     case's name, so adding or removing a case leaves every other
+     case's input as it was; [fixed] cases reuse a shared tensor. *)
   let cases =
-    [ ("add", (fun x -> sq (A.add x (A.const w32))), rand rng 3 2);
-      ("sub", (fun x -> sq (A.sub x (A.const w32))), rand rng 3 2);
-      ("mul", (fun x -> sq (A.mul x (A.const w32))), rand rng 3 2);
-      ("scale", (fun x -> sq (A.scale 1.7 x)), rand rng 3 2);
-      ("matmul-left", (fun x -> sq (A.matmul x (A.const w23))), rand rng 3 2);
-      ("matmul-right", (fun x -> sq (A.matmul (A.const w32) x)), rand rng 2 3);
-      ("square", (fun x -> A.sum (A.square x)), rand rng 3 3);
-      ("leaky_relu", (fun x -> sq (A.leaky_relu x)), rand_away rng 3 3);
-      ("relu", (fun x -> sq (A.relu x)), rand_away rng 3 3);
-      ("sigmoid", (fun x -> sq (A.sigmoid x)), rand rng 2 3);
-      ("exp", (fun x -> sq (A.exp x)), rand rng 2 3);
-      ("clamp_max", (fun x -> sq (A.clamp_max 0.15 x)), rand_away rng 3 3);
+    [ ("add", (fun x -> sq (A.add x (A.const w32))), fun r -> rand r 3 2);
+      ("sub", (fun x -> sq (A.sub x (A.const w32))), fun r -> rand r 3 2);
+      ("mul", (fun x -> sq (A.mul x (A.const w32))), fun r -> rand r 3 2);
+      ("scale", (fun x -> sq (A.scale 1.7 x)), fun r -> rand r 3 2);
+      ("matmul-left", (fun x -> sq (A.matmul x (A.const w23))), fun r -> rand r 3 2);
+      ("matmul-right", (fun x -> sq (A.matmul (A.const w32) x)), fun r -> rand r 2 3);
+      ("square", (fun x -> A.sum (A.square x)), fun r -> rand r 3 3);
+      ("leaky_relu", (fun x -> sq (A.leaky_relu x)), fun r -> rand_away r 3 3);
+      ("relu", (fun x -> sq (A.relu x)), fun r -> rand_away r 3 3);
+      ("sigmoid", (fun x -> sq (A.sigmoid x)), fun r -> rand r 2 3);
+      ("exp", (fun x -> sq (A.exp x)), fun r -> rand r 2 3);
+      ("clamp_max", (fun x -> sq (A.clamp_max 0.15 x)), fun r -> rand_away r 3 3);
       ( "gather_rows",
         (fun x -> sq (A.gather_rows x [| 0; 2; 0; 1 |])),
-        rand rng 3 2 );
+        fun r -> rand r 3 2 );
       ( "scatter_add_rows",
         (fun x -> sq (A.scatter_add_rows x [| 1; 0; 1; 0 |] ~rows:2)),
-        rand rng 4 2 );
+        fun r -> rand r 4 2 );
       ( "concat_cols",
         (fun x -> sq (A.concat_cols [ x; A.const w32 ])),
-        rand rng 3 2 );
+        fun r -> rand r 3 2 );
       ( "add_rowvec-matrix",
         (fun x -> sq (A.add_rowvec x (A.const v14))),
-        rand rng 3 4 );
+        fun r -> rand r 3 4 );
       ( "add_rowvec-vector",
         (fun v -> sq (A.add_rowvec (A.const m43) v)),
-        Tensor.copy v13 );
+        fixed v13 );
       ( "col_mul-matrix",
         (fun x -> sq (A.col_mul x (A.const v41))),
-        rand rng 4 3 );
+        fun r -> rand r 4 3 );
       ( "col_mul-vector",
         (fun v -> sq (A.col_mul (A.const m43) v)),
-        Tensor.copy v41 );
-      ("row_sums", (fun x -> sq (A.row_sums x)), rand rng 3 4);
-      ("sum", (fun x -> A.square (A.sum x)), rand rng 3 3);
-      ("mean", (fun x -> A.mean (A.square x)), rand rng 3 3);
+        fixed v41 );
+      ("row_sums", (fun x -> sq (A.row_sums x)), fun r -> rand r 3 4);
+      ("sum", (fun x -> A.square (A.sum x)), fun r -> rand r 3 3);
+      ("mean", (fun x -> A.mean (A.square x)), fun r -> rand r 3 3);
       ( "segment_softmax",
         (fun x ->
           A.sum (A.mul (A.segment_softmax x [| 0; 0; 1; 1; 1 |]) (A.const c51))),
-        rand rng 5 1 ) ]
+        fun r -> rand r 5 1 ) ]
   in
   (* GAT edge kernels: 5 edges into 3 destinations (one of them
      empty) from 4 sources.  The node terms of the scores are below
@@ -133,8 +137,12 @@ let all_ops ?(seed = 7) () =
      pre-activation stays at least 0.1 from the leaky kink. *)
   let e_dst = [| 0; 2; 0; 2; 2 |] and e_src = [| 1; 0; 3; 3; 2 |] in
   let small rows = Tensor.scale 0.05 (rand rng rows 1) in
-  let pd3 = small 3 and ps4 = small 4 and pe5 = rand_away rng 5 1 in
-  let hs42 = rand rng 4 2 and he52 = rand rng 5 2 and a51 = rand rng 5 1 in
+  let pd3 = small 3 in
+  let ps4 = small 4 in
+  let pe5 = rand_away rng 5 1 in
+  let hs42 = rand rng 4 2 in
+  let he52 = rand rng 5 2 in
+  let a51 = rand rng 5 1 in
   let scores pd ps pe = sq (A.edge_scores pd ~dst:e_dst ps ~src:e_src pe) in
   let aggregate hs he alpha =
     sq (A.edge_aggregate hs ~src:e_src he alpha ~dst:e_dst ~rows:3)
@@ -142,25 +150,26 @@ let all_ops ?(seed = 7) () =
   let edge_cases =
     [ ( "edge_scores-pd",
         (fun x -> scores x (A.const ps4) (A.const pe5)),
-        Tensor.copy pd3 );
+        fixed pd3 );
       ( "edge_scores-ps",
         (fun x -> scores (A.const pd3) x (A.const pe5)),
-        Tensor.copy ps4 );
+        fixed ps4 );
       ( "edge_scores-pe",
         (fun x -> scores (A.const pd3) (A.const ps4) x),
-        Tensor.copy pe5 );
+        fixed pe5 );
       ( "edge_aggregate-hs",
         (fun x -> aggregate x (A.const he52) (A.const a51)),
-        Tensor.copy hs42 );
+        fixed hs42 );
       ( "edge_aggregate-he",
         (fun x -> aggregate (A.const hs42) x (A.const a51)),
-        Tensor.copy he52 );
+        fixed he52 );
       ( "edge_aggregate-alpha",
         (fun x -> aggregate (A.const hs42) (A.const he52) x),
-        Tensor.copy a51 ) ]
+        fixed a51 ) ]
   in
   List.map
-    (fun (name, build, x0) -> check ~name ~build x0)
+    (fun (name, build, input) ->
+      check ~name ~build (input (Rng.create (Hashtbl.hash (seed, name)))))
     (cases @ edge_cases)
 
 (* Looser than [default_tol]: the composite passes through several

@@ -94,8 +94,10 @@ let of_instance ?(with_access_relation = false) (inst : Instance.t) =
           incr node)
         c.Instance.paths)
     commodities;
-  (* R1: one directed edge pair per live link. *)
+  (* R1: one directed edge pair per live link, its feature the link's
+     capacity in [Instance.caps]. *)
   let links = snap.Snapshot.links in
+  let link_caps = Array.sub inst.Instance.caps 0 (Array.length links) in
   let m1 = 2 * Array.length links in
   let r1_src = Array.make m1 0 in
   let r1_dst = Array.make m1 0 in
@@ -106,7 +108,7 @@ let of_instance ?(with_access_relation = false) (inst : Instance.t) =
       r1_dst.(2 * i) <- l.Link.v;
       r1_src.((2 * i) + 1) <- l.Link.v;
       r1_dst.((2 * i) + 1) <- l.Link.u;
-      let f = l.Link.capacity_mbps /. capacity_scale in
+      let f = link_caps.(i) /. capacity_scale in
       Tensor.set r1_feat (2 * i) 0 f;
       Tensor.set r1_feat ((2 * i) + 1) 0 f)
     links;
@@ -147,4 +149,4 @@ let of_instance ?(with_access_relation = false) (inst : Instance.t) =
     path_demand;
     incidence_path;
     incidence_link;
-    link_caps = Array.map (fun (l : Link.t) -> l.Link.capacity_mbps) links }
+    link_caps }

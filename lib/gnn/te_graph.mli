@@ -46,8 +46,8 @@ type t = {
       (** Snapshot link index per entry: the instance's [path_links],
           flattened in path-node order. *)
   link_caps : float array;
-      (** Capacity of every snapshot link, indexed like
-          [snapshot.links]; links no path uses are included. *)
+      (** Capacity of every snapshot link, the link range of
+          [Instance.caps]; links no path uses are included. *)
 }
 
 val demand_scale : float

@@ -1,5 +1,4 @@
 module Snapshot = Sate_topology.Snapshot
-module Link = Sate_topology.Link
 module Path = Sate_paths.Path
 
 type t = float array array
@@ -19,8 +18,14 @@ let scale_to_demand (inst : Instance.t) alloc =
       else rates)
     alloc
 
-let link_loads (inst : Instance.t) alloc =
-  let loads = Array.make (Array.length inst.Instance.snapshot.Snapshot.links) 0.0 in
+(* [Instance.caps] layout: [n_links] links, then [n] uplinks, then
+   [n] downlinks. *)
+let layout (inst : Instance.t) =
+  (Array.length inst.Instance.snapshot.Snapshot.links, Snapshot.num_nodes inst.Instance.snapshot)
+
+let loads (inst : Instance.t) alloc =
+  let n_links, n = layout inst in
+  let loads = Array.make (Array.length inst.Instance.caps) 0.0 in
   Array.iteri
     (fun f rates ->
       let c = inst.Instance.commodities.(f) in
@@ -28,21 +33,21 @@ let link_loads (inst : Instance.t) alloc =
         (fun p rate ->
           if rate > 0.0 then
             Array.iter (fun li -> loads.(li) <- loads.(li) +. rate) c.Instance.path_links.(p))
-        rates)
+        rates;
+      let total = Array.fold_left ( +. ) 0.0 rates in
+      let up = n_links + c.Instance.src and down = n_links + n + c.Instance.dst in
+      loads.(up) <- loads.(up) +. total;
+      loads.(down) <- loads.(down) +. total)
     alloc;
   loads
 
-let node_loads (inst : Instance.t) alloc =
-  let n = Snapshot.num_nodes inst.Instance.snapshot in
-  let up = Array.make n 0.0 and down = Array.make n 0.0 in
-  Array.iteri
-    (fun f rates ->
-      let c = inst.Instance.commodities.(f) in
-      let total = Array.fold_left ( +. ) 0.0 rates in
-      up.(c.Instance.src) <- up.(c.Instance.src) +. total;
-      down.(c.Instance.dst) <- down.(c.Instance.dst) +. total)
-    alloc;
-  (up, down)
+(* [f] over the resources that path [p] of [c] uses, in resource
+   order: its links, its source's uplink, its destination's
+   downlink. *)
+let iter_resources (n_links, n) (c : Instance.commodity) p f =
+  Array.iter f c.Instance.path_links.(p);
+  f (n_links + c.Instance.src);
+  f (n_links + n + c.Instance.dst)
 
 type violation =
   | Negative_rate of { commodity : int; path : int; rate : float }
@@ -87,26 +92,16 @@ let violations (inst : Instance.t) alloc =
           (Demand_exceeded
              { commodity = f; total = !total; demand = c.Instance.demand_mbps }))
     alloc;
-  let loads = link_loads inst alloc in
+  let n_links, n = layout inst in
   Array.iteri
-    (fun li load ->
-      let cap = inst.Instance.snapshot.Snapshot.links.(li).Link.capacity_mbps in
-      if load > cap +. eps then
-        push (Link_overload { link = li; load; capacity = cap }))
-    loads;
-  let up, down = node_loads inst alloc in
-  Array.iteri
-    (fun n l ->
-      if l > inst.Instance.up_caps.(n) +. eps then
-        push (Uplink_overload { node = n; load = l; capacity = inst.Instance.up_caps.(n) }))
-    up;
-  Array.iteri
-    (fun n l ->
-      if l > inst.Instance.down_caps.(n) +. eps then
+    (fun r load ->
+      let capacity = inst.Instance.caps.(r) in
+      if load > capacity +. eps then
         push
-          (Downlink_overload
-             { node = n; load = l; capacity = inst.Instance.down_caps.(n) }))
-    down;
+          (if r < n_links then Link_overload { link = r; load; capacity }
+           else if r < n_links + n then Uplink_overload { node = r - n_links; load; capacity }
+           else Downlink_overload { node = r - n_links - n; load; capacity }))
+    (loads inst alloc);
   List.rev !out
 
 let is_feasible (inst : Instance.t) alloc = violations inst alloc = []
@@ -115,15 +110,9 @@ let is_feasible (inst : Instance.t) alloc = violations inst alloc = []
    overload factor among the resources it touches.  Keeps relative
    shares fair before the exact pass. *)
 let proportional_pass (inst : Instance.t) alloc =
-  let loads = link_loads inst alloc in
-  let up, down = node_loads inst alloc in
-  let link_factor li =
-    let cap = inst.Instance.snapshot.Snapshot.links.(li).Link.capacity_mbps in
-    if loads.(li) > cap && loads.(li) > 0.0 then cap /. loads.(li) else 1.0
-  in
-  let node_factor caps loads n =
-    if loads.(n) > caps.(n) && loads.(n) > 0.0 then caps.(n) /. loads.(n) else 1.0
-  in
+  let caps = inst.Instance.caps and loads = loads inst alloc in
+  let factor r = if loads.(r) > caps.(r) && loads.(r) > 0.0 then caps.(r) /. loads.(r) else 1.0 in
+  let layout = layout inst in
   Array.mapi
     (fun f rates ->
       let c = inst.Instance.commodities.(f) in
@@ -131,13 +120,9 @@ let proportional_pass (inst : Instance.t) alloc =
         (fun p rate ->
           if rate <= 0.0 then 0.0
           else begin
-            let factor = ref 1.0 in
-            Array.iter
-              (fun li -> factor := Float.min !factor (link_factor li))
-              c.Instance.path_links.(p);
-            factor := Float.min !factor (node_factor inst.Instance.up_caps up c.Instance.src);
-            factor := Float.min !factor (node_factor inst.Instance.down_caps down c.Instance.dst);
-            rate *. !factor
+            let worst = ref 1.0 in
+            iter_resources layout c p (fun r -> worst := Float.min !worst (factor r));
+            rate *. !worst
           end)
         rates)
     alloc
@@ -146,11 +131,8 @@ let proportional_pass (inst : Instance.t) alloc =
    remaining capacity of every resource it uses.  Guarantees
    feasibility. *)
 let exact_pass (inst : Instance.t) alloc =
-  let remaining_link =
-    Array.map (fun l -> l.Link.capacity_mbps) inst.Instance.snapshot.Snapshot.links
-  in
-  let remaining_up = Array.copy inst.Instance.up_caps in
-  let remaining_down = Array.copy inst.Instance.down_caps in
+  let remaining = Array.copy inst.Instance.caps in
+  let layout = layout inst in
   Array.mapi
     (fun f rates ->
       let c = inst.Instance.commodities.(f) in
@@ -160,18 +142,10 @@ let exact_pass (inst : Instance.t) alloc =
           if rate <= 0.0 then 0.0
           else begin
             let headroom = ref (Float.min rate !remaining_demand) in
-            Array.iter
-              (fun li -> headroom := Float.min !headroom remaining_link.(li))
-              c.Instance.path_links.(p);
-            headroom := Float.min !headroom remaining_up.(c.Instance.src);
-            headroom := Float.min !headroom remaining_down.(c.Instance.dst);
+            iter_resources layout c p (fun r -> headroom := Float.min !headroom remaining.(r));
             let final = Float.max 0.0 !headroom in
             if final > 0.0 then begin
-              Array.iter
-                (fun li -> remaining_link.(li) <- remaining_link.(li) -. final)
-                c.Instance.path_links.(p);
-              remaining_up.(c.Instance.src) <- remaining_up.(c.Instance.src) -. final;
-              remaining_down.(c.Instance.dst) <- remaining_down.(c.Instance.dst) -. final;
+              iter_resources layout c p (fun r -> remaining.(r) <- remaining.(r) -. final);
               remaining_demand := !remaining_demand -. final
             end;
             final
@@ -200,15 +174,13 @@ let per_commodity_ratio (inst : Instance.t) alloc =
       if d <= 0.0 then 1.0 else Array.fold_left ( +. ) 0.0 rates /. d)
     alloc
 
-let mlu inst alloc =
-  let loads = link_loads inst alloc in
+let mlu (inst : Instance.t) alloc =
+  let loads = loads inst alloc in
   let worst = ref 0.0 in
-  Array.iteri
-    (fun li load ->
-      let cap = inst.Instance.snapshot.Snapshot.links.(li).Link.capacity_mbps in
-      if Float.is_finite cap && cap > 0.0 then
-        worst := Float.max !worst (load /. cap))
-    loads;
+  for li = 0 to Array.length inst.Instance.snapshot.Snapshot.links - 1 do
+    let cap = inst.Instance.caps.(li) in
+    if Float.is_finite cap && cap > 0.0 then worst := Float.max !worst (loads.(li) /. cap)
+  done;
   !worst
 
 let scale_to_full_demand (inst : Instance.t) alloc =

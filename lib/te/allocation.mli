@@ -17,12 +17,11 @@ val scale_to_demand : Instance.t -> t -> t
 (** Clamp negatives and scale each commodity down so its total does
     not exceed its demand (constraint 2.e). *)
 
-val link_loads : Instance.t -> t -> float array
-(** Load per snapshot link index. *)
-
-val node_loads : Instance.t -> t -> float array * float array
-(** [(uplink, downlink)] load per node: total rate sourced at /
-    destined to the node (constraints 2.c, 2.d). *)
+val loads : Instance.t -> t -> float array
+(** Load per resource, indexed like [Instance.caps]: a link carries
+    the positive rates of the paths crossing it (2.b); a node's
+    uplink and downlink carry the total rate of every commodity it
+    sources or sinks (2.c, 2.d). *)
 
 (** {1 Feasibility invariants}
 
@@ -46,9 +45,9 @@ val violation_to_string : violation -> string
 
 val violations : Instance.t -> t -> violation list
 (** Every invariant violation beyond an absolute tolerance of [1e-6]
-    Mbps, in deterministic order
-    (commodity checks first, then links, then node up/down). Empty
-    iff the allocation is feasible. *)
+    Mbps, in deterministic order: commodity checks first, then
+    resources in [Instance.caps] order (links, uplinks, downlinks).
+    Empty iff the allocation is feasible. *)
 
 val is_feasible : Instance.t -> t -> bool
 (** All of (2.b)-(2.f) hold within tolerance ([violations] is
@@ -56,8 +55,9 @@ val is_feasible : Instance.t -> t -> bool
 
 val trim : Instance.t -> t -> t
 (** Correction for constraint violation (§3.3): proportional scaling
-    on overloaded links/nodes followed by a sequential exact pass, so
-    the result always satisfies {!is_feasible}. *)
+    on overloaded resources followed by a sequential exact pass
+    against [Instance.caps], so the result always satisfies
+    {!is_feasible}. *)
 
 val total_flow : t -> float
 
@@ -69,8 +69,8 @@ val per_commodity_ratio : Instance.t -> t -> float array
 (** Flow-level satisfied demand (Fig. 16a). *)
 
 val mlu : Instance.t -> t -> float
-(** Maximum link utilisation over links with finite capacity; 0 for
-    an empty allocation. *)
+(** Maximum link utilisation over links with finite, positive
+    capacity in [Instance.caps]; 0 for an empty allocation. *)
 
 val scale_to_full_demand : Instance.t -> t -> t
 (** Rescale each commodity so its paths carry exactly its demand

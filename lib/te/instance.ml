@@ -1,4 +1,5 @@
 module Snapshot = Sate_topology.Snapshot
+module Link = Sate_topology.Link
 module Demand = Sate_traffic.Demand
 module Path = Sate_paths.Path
 module Path_db = Sate_paths.Path_db
@@ -14,23 +15,20 @@ type commodity = {
 type t = {
   snapshot : Snapshot.t;
   commodities : commodity array;
-  up_caps : float array;
-  down_caps : float array;
+  caps : float array;
 }
 
 let make ?up_caps ?down_caps snapshot demand path_db =
   if Path_db.snapshot path_db != snapshot then
     invalid_arg "Instance.make: path store is not on this snapshot";
-  let n = Snapshot.num_nodes snapshot in
-  let caps = function
-    | Some c when Array.length c >= n -> c
-    | given ->
-        (* Caps computed per satellite; relays get unbounded caps. *)
-        let ext = Array.make n Float.infinity in
-        Option.iter (fun c -> Array.blit c 0 ext 0 (Array.length c)) given;
-        ext
-  in
-  let up_caps = caps up_caps and down_caps = caps down_caps in
+  let links = snapshot.Snapshot.links in
+  let n_links = Array.length links and n = Snapshot.num_nodes snapshot in
+  (* Node caps are given per satellite; relays keep unbounded caps. *)
+  let caps = Array.make (n_links + (2 * n)) Float.infinity in
+  Array.iteri (fun li (l : Link.t) -> caps.(li) <- l.Link.capacity_mbps) links;
+  let blit at = Option.iter (fun c -> Array.blit c 0 caps at (min n (Array.length c))) in
+  blit n_links up_caps;
+  blit (n_links + n) down_caps;
   let commodities =
     Array.map
       (fun (e : Demand.entry) ->
@@ -44,11 +42,15 @@ let make ?up_caps ?down_caps snapshot demand path_db =
           path_links })
       demand.Demand.entries
   in
-  { snapshot; commodities; up_caps; down_caps }
+  { snapshot; commodities; caps }
 
 let of_demand ?up_caps ?down_caps constellation snapshot demand ~k =
   let db = Path_db.compute constellation snapshot ~pairs:(Demand.pairs demand) ~k in
   make ?up_caps ?down_caps snapshot demand db
+
+let node_caps t =
+  let n_links = Array.length t.snapshot.Snapshot.links and n = Snapshot.num_nodes t.snapshot in
+  (Array.sub t.caps n_links n, Array.sub t.caps (n_links + n) n)
 
 let demand t =
   Demand.of_assoc ~num_sats:t.snapshot.Snapshot.num_sats

@@ -1,5 +1,4 @@
 module Snapshot = Sate_topology.Snapshot
-module Link = Sate_topology.Link
 module Simplex = Sate_lp.Simplex
 module Certificate = Sate_lp.Certificate
 
@@ -40,67 +39,56 @@ let layout (inst : Instance.t) =
   done;
   (offsets, !n)
 
-(* One row of path terms per resource that some path uses, in
-   increasing resource order: [keys f c p] lists the resources in
+(* One row of path terms per key that some path uses, in increasing
+   key order: [keys f c p add] calls [add] on every key in
    [[0, n_keys)] that path [p] of commodity [f] uses.  Paths are
    visited in variable order, so each row's indices increase; a path
-   that uses a resource twice (crossing a link twice) gets one term
-   with coefficient 2. *)
+   that uses a key twice (crossing a link twice) gets one term with
+   coefficient 2. *)
 let incidence (inst : Instance.t) offsets ~n_keys keys =
   let rows = Array.make n_keys [] in
   Array.iteri
     (fun f (c : Instance.commodity) ->
       for p = 0 to Array.length c.Instance.paths - 1 do
         let v = offsets.(f) + p in
-        Array.iter
-          (fun k ->
+        keys f c p (fun k ->
             rows.(k) <-
               (match rows.(k) with
               | (u, a) :: rest when u = v -> (v, a +. 1.0) :: rest
               | terms -> (v, 1.0) :: terms))
-          (keys f c p)
       done)
     inst.Instance.commodities;
   Array.to_list rows
   |> List.mapi (fun k terms -> (k, Array.of_list (List.rev terms)))
   |> List.filter (fun (_, terms) -> Array.length terms > 0)
 
-let link_rows (inst : Instance.t) ~mlu_var offsets =
-  let links = inst.Instance.snapshot.Snapshot.links in
-  incidence inst offsets ~n_keys:(Array.length links) (fun _ c p ->
-      c.Instance.path_links.(p))
-  |> List.map (fun (li, terms) ->
-         let cap = links.(li).Link.capacity_mbps in
-         match mlu_var with
-         | None -> { Simplex.terms; sense = Simplex.Le; rhs = cap }
-         | Some tv ->
-             (* load - cap * t <= 0 *)
-             { Simplex.terms = Array.append terms [| (tv, -.cap) |];
-               sense = Simplex.Le;
-               rhs = 0.0 })
-
-let node_rows (inst : Instance.t) offsets =
-  let n_keys = Snapshot.num_nodes inst.Instance.snapshot in
-  let side caps endpoint =
-    incidence inst offsets ~n_keys (fun _ c _ ->
-        let node = endpoint c in
-        if Float.is_finite caps.(node) then [| node |] else [||])
-    |> List.map (fun (node, terms) ->
-           { Simplex.terms; sense = Simplex.Le; rhs = caps.(node) })
-  in
-  side inst.Instance.up_caps (fun c -> c.Instance.src)
-  @ side inst.Instance.down_caps (fun c -> c.Instance.dst)
+(* Constraints (2.b)-(2.d): one row per resource of [Instance.caps]
+   with a finite capacity that some path uses, in resource order, or
+   per link only under [~links_only].  A path uses its links, its
+   source's uplink and its destination's downlink.  [row terms cap]
+   builds the constraint. *)
+let capacity_rows (inst : Instance.t) offsets ~links_only row =
+  let caps = inst.Instance.caps in
+  let n_links = Array.length inst.Instance.snapshot.Snapshot.links in
+  let n = Snapshot.num_nodes inst.Instance.snapshot in
+  let n_rows = if links_only then n_links else Array.length caps in
+  incidence inst offsets ~n_keys:(Array.length caps) (fun _ c p add ->
+      Array.iter add c.Instance.path_links.(p);
+      add (n_links + c.Instance.src);
+      add (n_links + n + c.Instance.dst))
+  |> List.filter_map (fun (r, terms) ->
+         if r < n_rows && Float.is_finite caps.(r) then Some (row terms caps.(r)) else None)
 
 let demand_rows (inst : Instance.t) ~sense offsets =
   let commodities = inst.Instance.commodities in
-  incidence inst offsets ~n_keys:(Array.length commodities) (fun f _ _ -> [| f |])
+  incidence inst offsets ~n_keys:(Array.length commodities) (fun f _ _ add -> add f)
   |> List.map (fun (f, terms) ->
          { Simplex.terms; sense; rhs = commodities.(f).Instance.demand_mbps })
 
 (* Constraints (2.b)-(2.e) over the path variables. *)
 let throughput_rows inst offsets =
-  link_rows inst ~mlu_var:None offsets
-  @ node_rows inst offsets
+  capacity_rows inst offsets ~links_only:false (fun terms cap ->
+      { Simplex.terms; sense = Simplex.Le; rhs = cap })
   @ demand_rows inst ~sense:Simplex.Le offsets
 
 let to_allocation (inst : Instance.t) offsets solution =
@@ -151,7 +139,11 @@ let min_mlu inst offsets n_paths =
     maximize = false;
     c;
     constraints =
-      link_rows inst ~mlu_var:(Some n_paths) offsets
+      (* load - cap * t <= 0 *)
+      capacity_rows inst offsets ~links_only:true (fun terms cap ->
+          { Simplex.terms = Array.append terms [| (n_paths, -.cap) |];
+            sense = Simplex.Le;
+            rhs = 0.0 })
       @ demand_rows inst ~sense:Simplex.Eq offsets;
     failed = Float.infinity;
     decode =

@@ -2,7 +2,7 @@ module Geo = Sate_geo.Geo
 module Constellation = Sate_orbit.Constellation
 module Shell = Sate_orbit.Shell
 
-type cross_shell_mode = Lasers | Ground_relays | Isolated_shells
+type cross_shell_mode = Lasers | Ground_relays
 
 type config = {
   cross_shell : cross_shell_mode;
@@ -33,7 +33,7 @@ let create ?(config = default_config) constellation =
   let relays =
     match config.cross_shell with
     | Ground_relays -> Relay_sites.generate ()
-    | Lasers | Isolated_shells -> [||]
+    | Lasers -> [||]
   in
   let n = Constellation.size constellation in
   { config;
@@ -204,8 +204,7 @@ let snapshot t ~time_s =
   grid_links t positions add;
   (match t.config.cross_shell with
   | Lasers -> laser_links t positions add
-  | Ground_relays -> relay_links t positions add
-  | Isolated_shells -> ());
+  | Ground_relays -> relay_links t positions add);
   let links = Hashtbl.fold (fun _ l acc -> l :: acc) acc [] in
   Snapshot.make ~time_s
     ~num_sats:(Constellation.size t.constellation)

@@ -21,7 +21,6 @@
 type cross_shell_mode =
   | Lasers  (** Fig. 2 (b): direct lasers between adjacent shells. *)
   | Ground_relays  (** Fig. 2 (c): bent-pipe via ground relays. *)
-  | Isolated_shells  (** No cross-shell connectivity (analysis only). *)
 
 type config = {
   cross_shell : cross_shell_mode;

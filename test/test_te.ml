@@ -30,8 +30,9 @@ let test_rebuild_on_degraded_snapshot () =
   in
   Alcotest.(check bool) "some links failed" true (failed <> []);
   let rebuilt =
-    Instance.of_demand ~up_caps:inst.Instance.up_caps ~down_caps:inst.Instance.down_caps
-      Sate_orbit.Constellation.iridium snap (Instance.demand inst) ~k:3
+    let up_caps, down_caps = Instance.node_caps inst in
+    Instance.of_demand ~up_caps ~down_caps Sate_orbit.Constellation.iridium snap
+      (Instance.demand inst) ~k:3
   in
   let traffic (i : Instance.t) =
     Array.to_list
@@ -47,8 +48,8 @@ let test_rebuild_on_degraded_snapshot () =
       Alcotest.(check bool) (name ^ " caps are bounded") true
         (Array.exists Float.is_finite (caps inst));
       Alcotest.(check bool) (name ^ " caps kept") true (caps rebuilt = caps inst))
-    [ ("uplink", fun (i : Instance.t) -> i.Instance.up_caps);
-      ("downlink", fun (i : Instance.t) -> i.Instance.down_caps) ];
+    [ ("uplink", fun i -> fst (Instance.node_caps i));
+      ("downlink", fun i -> snd (Instance.node_caps i)) ];
   Alcotest.(check bool) "built on the degraded snapshot" true
     (rebuilt.Instance.snapshot == snap);
   let is_failed (l : Link.t) =
@@ -170,18 +171,113 @@ let test_per_commodity_ratio () =
     (fun r -> Alcotest.(check bool) "ratio in [0,1]" true (r >= -1e-9 && r <= 1.0 +. 1e-6))
     ratios
 
+(* Resource ranges of [Instance.caps]: links, uplinks, downlinks. *)
+let n_links (inst : Instance.t) = Array.length inst.Instance.snapshot.Snapshot.links
+
+let uplink (inst : Instance.t) node = n_links inst + node
+
+let downlink (inst : Instance.t) node =
+  n_links inst + Snapshot.num_nodes inst.Instance.snapshot + node
+
+let with_caps (inst : Instance.t) f =
+  { inst with Instance.caps = Array.mapi f inst.Instance.caps }
+
 let test_node_caps_respected () =
   (* Tight uplink caps must bind. *)
   let inst = Helpers.iridium_instance () in
-  let tight =
-    { inst with
-      Instance.up_caps = Array.map (fun _ -> 1.0) inst.Instance.up_caps }
-  in
+  let is_uplink r = r >= uplink inst 0 && r < downlink inst 0 in
+  let tight = with_caps inst (fun r c -> if is_uplink r then 1.0 else c) in
   let lp = Lp_solver.solve tight in
-  let up, _ = Allocation.node_loads tight lp in
-  Array.iter
-    (fun l -> Alcotest.(check bool) "uplink cap respected" true (l <= 1.0 +. 1e-6))
-    up
+  Array.iteri
+    (fun r l ->
+      if is_uplink r then
+        Alcotest.(check bool) "uplink cap respected" true (l <= 1.0 +. 1e-6))
+    (Allocation.loads tight lp)
+
+(* Every TE module reads link capacity from [Instance.caps]: with one
+   loaded link's entry halved while the snapshot still says 200 Mbps,
+   no method may load it past the halved cap, and each must return
+   what it returns when the snapshot agrees.  The second check sees a
+   module whose own capacity read is masked by a final trim. *)
+let test_instance_caps_bind () =
+  let inst = Helpers.iridium_instance () in
+  let lp = Lp_solver.solve inst in
+  let loads = Allocation.loads inst lp in
+  let link = ref 0 in
+  for li = 1 to n_links inst - 1 do
+    if loads.(li) > loads.(!link) then link := li
+  done;
+  let link = !link in
+  let snap = inst.Instance.snapshot in
+  Alcotest.(check (float 0.0)) "snapshot capacity" 200.0
+    snap.Snapshot.links.(link).Link.capacity_mbps;
+  let cap = inst.Instance.caps.(link) /. 2.0 in
+  Alcotest.(check bool) "halved cap binds the LP" true (loads.(link) > cap +. 1e-6);
+  let halved = with_caps inst (fun r c -> if r = link then cap else c) in
+  let agreed =
+    { halved with
+      Instance.snapshot =
+        { snap with
+          Snapshot.links =
+            Array.mapi
+              (fun li l -> if li = link then { l with Link.capacity_mbps = cap } else l)
+              snap.Snapshot.links } }
+  in
+  List.iter
+    (fun (name, solve) ->
+      let alloc = solve halved in
+      let load = (Allocation.loads halved alloc).(link) in
+      if load > cap +. 1e-6 then
+        Alcotest.failf "%s loads link %d to %.9g over its cap %.9g" name link load cap;
+      Alcotest.(check bool) (name ^ " ignores the snapshot's capacity") true
+        (alloc = solve agreed))
+    [ ("max-throughput", fun i -> Lp_solver.solve i);
+      ("log-utility", fun i -> Lp_solver.solve ~objective:Lp_solver.Max_log_utility i);
+      ("ecmp-wf", Sate_baselines.Ecmp_wf.solve);
+      ("max-min", Sate_baselines.Filling.solve ~path_choice:Sate_baselines.Filling.all_paths);
+      ("pop", fun i -> Sate_baselines.Pop.solve i);
+      ("trim", fun i -> Allocation.trim i lp) ];
+  (* The min-MLU LP routes all demand, so its bound is the utilisation
+     it reports. *)
+  let alloc, t = Lp_solver.solve_with_value ~objective:Lp_solver.Min_mlu halved in
+  let achieved = Allocation.mlu halved alloc in
+  if achieved > t +. (1e-5 *. Float.max 1.0 t) then
+    Alcotest.failf "min-mlu: achieved MLU %.9g exceeds optimum %.9g" achieved t;
+  Alcotest.(check bool) "min-mlu ignores the snapshot's capacity" true
+    ((alloc, t) = Lp_solver.solve_with_value ~objective:Lp_solver.Min_mlu agreed);
+  let g = Sate_gnn.Te_graph.of_instance halved in
+  Alcotest.(check (float 0.0)) "graph link capacity" cap g.Sate_gnn.Te_graph.link_caps.(link);
+  Alcotest.(check (float 0.0)) "R1 feature" (cap /. Sate_gnn.Te_graph.capacity_scale)
+    (Sate_tensor.Tensor.get g.Sate_gnn.Te_graph.r1.Sate_gnn.Te_graph.feat (2 * link) 0)
+
+(* One allocation over a link, an uplink and a downlink is reported
+   in resource order, with each resource's id and capacity. *)
+let test_violations_order () =
+  let inst = Helpers.iridium_instance () in
+  let f, c =
+    let rec first f =
+      let c = inst.Instance.commodities.(f) in
+      if Array.length c.Instance.paths > 0 && c.Instance.demand_mbps > 0.0 then (f, c)
+      else first (f + 1)
+    in
+    first 0
+  in
+  let rate = c.Instance.demand_mbps and link = c.Instance.path_links.(0).(0) in
+  let capacity = rate /. 2.0 in
+  let tight = [ link; uplink inst c.Instance.src; downlink inst c.Instance.dst ] in
+  let inst = with_caps inst (fun r _ -> if List.mem r tight then capacity else Float.infinity) in
+  let alloc = Allocation.zeros inst in
+  alloc.(f).(0) <- rate;
+  let expected =
+    [ Allocation.Link_overload { link; load = rate; capacity };
+      Allocation.Uplink_overload { node = c.Instance.src; load = rate; capacity };
+      Allocation.Downlink_overload { node = c.Instance.dst; load = rate; capacity } ]
+  in
+  let actual = Allocation.violations inst alloc in
+  Alcotest.(check (list string)) "violations"
+    (List.map Allocation.violation_to_string expected)
+    (List.map Allocation.violation_to_string actual);
+  Alcotest.(check bool) "exact loads and capacities" true (actual = expected)
 
 let test_carryover_drops_invalid_paths () =
   let inst = Helpers.iridium_instance () in
@@ -189,9 +285,11 @@ let test_carryover_drops_invalid_paths () =
   (* Remove a carrying link; carrying the allocation onto the same
      demand over the degraded snapshot, with the path store updated
      there as Scenario does, must drop the flows on paths using it. *)
-  let loads = Allocation.link_loads inst lp in
+  let loads = Allocation.loads inst lp in
   let victim = ref (-1) in
-  Array.iteri (fun li l -> if !victim < 0 && l > 0.0 then victim := li) loads;
+  for li = n_links inst - 1 downto 0 do
+    if loads.(li) > 0.0 then victim := li
+  done;
   if !victim >= 0 then begin
     let snap = inst.Instance.snapshot in
     let l = snap.Snapshot.links.(!victim) in
@@ -239,14 +337,7 @@ let test_verify_mode_all_objectives () =
    call returns its documented failure value. *)
 let test_verify_raises_on_solver_failure () =
   let inst = Helpers.iridium_instance () in
-  let snap = inst.Instance.snapshot in
-  let dead =
-    { inst with
-      Instance.snapshot =
-        { snap with
-          Snapshot.links =
-            Array.map (fun l -> { l with Link.capacity_mbps = 0.0 }) snap.Snapshot.links } }
-  in
+  let dead = with_caps inst (fun r c -> if r < n_links inst then 0.0 else c) in
   Alcotest.(check bool) "raises under verify" true
     (match Lp_solver.solve_with_value ~objective:Lp_solver.Min_mlu ~verify:true dead with
     | exception Lp_solver.Verification_failed _ -> true
@@ -282,8 +373,8 @@ let test_lp_allocation () =
   in
   let rows =
     link_rows
-    + node_rows inst.Instance.up_caps (fun c -> c.Instance.src)
-    + node_rows inst.Instance.down_caps (fun c -> c.Instance.dst)
+    + node_rows (fst (Instance.node_caps inst)) (fun c -> c.Instance.src)
+    + node_rows (snd (Instance.node_caps inst)) (fun c -> c.Instance.dst)
     + List.length with_paths
     + (4 * List.length routable)
   in
@@ -358,6 +449,8 @@ let suite =
     Alcotest.test_case "mlu vs throughput" `Quick test_mlu_below_throughput_mlu;
     Alcotest.test_case "per-commodity ratio" `Quick test_per_commodity_ratio;
     Alcotest.test_case "node caps respected" `Quick test_node_caps_respected;
+    Alcotest.test_case "instance caps bind" `Quick test_instance_caps_bind;
+    Alcotest.test_case "violations order" `Quick test_violations_order;
     Alcotest.test_case "restrict to valid" `Quick test_carryover_drops_invalid_paths;
     Alcotest.test_case "verify mode all objectives" `Quick test_verify_mode_all_objectives;
     Alcotest.test_case "violations empty on lp" `Quick test_violations_empty_on_lp;
