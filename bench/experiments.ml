@@ -39,6 +39,12 @@ let header id title = Printf.printf "\n=== %s: %s ===\n%!" id title
 
 let rowf fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* Wall-clock milliseconds of [f ()], whose result is dropped. *)
+let time_ms f =
+  let t0 = Unix.gettimeofday () in
+  ignore (f ());
+  (Unix.gettimeofday () -. t0) *. 1000.0
+
 (* ------------------------------------------------------------------ *)
 (* Shared scenario / model plumbing.                                   *)
 
@@ -54,18 +60,18 @@ let instances_of ?scale ?mode ?lambda ?k ?seed ~count ~spacing () =
   List.init count (fun i ->
       Scenario.instance_at s ~time_s:(float_of_int i *. spacing))
 
+(* Epochs of every cached model. *)
+let model_epochs = 50
+
 (* Trained models are expensive: cache per (scale, mode, objective). *)
-let model_cache : (int * Builder.cross_shell_mode * string, Model.t) Hashtbl.t =
+let model_cache : (int * Builder.cross_shell_mode * Lp_solver.objective, Model.t) Hashtbl.t =
   Hashtbl.create 8
 
-let trained_model ?(scale = 66) ?(mode = Builder.Lasers) ?(objective = "throughput")
-    ?(epochs = 50) () =
+let trained_model ?(scale = 66) ?(mode = Builder.Lasers)
+    ?(objective = Lp_solver.Max_throughput) () =
   match Hashtbl.find_opt model_cache (scale, mode, objective) with
   | Some m -> m
   | None ->
-      let obj =
-        if objective = "mlu" then Lp_solver.Min_mlu else Lp_solver.Max_throughput
-      in
       (* Train across traffic intensities so one model serves the
          whole lambda sweep (the paper trains on varying loads). *)
       let train_insts =
@@ -73,9 +79,9 @@ let trained_model ?(scale = 66) ?(mode = Builder.Lasers) ?(objective = "throughp
           (fun lambda -> instances_of ~scale ~mode ~lambda ~count:2 ~spacing:9.0 ())
           [ 6.0; 12.0; 18.0 ]
       in
-      let samples = List.map (Trainer.make_sample ~objective:obj) train_insts in
+      let samples = List.map (Trainer.make_sample ~objective) train_insts in
       let model = Model.create ~seed:3 () in
-      ignore (Trainer.train ~epochs model samples);
+      ignore (Trainer.train ~epochs:model_epochs model samples);
       Hashtbl.replace model_cache (scale, mode, objective) model;
       model
 
@@ -189,14 +195,7 @@ let fig8a () =
     (fun scale ->
       let insts = instances_of ~scale ~lambda:16.0 ~count:2 ~spacing:5.0 () in
       let time_method name solve =
-        let ms =
-          List.map
-            (fun inst ->
-              let t0 = Unix.gettimeofday () in
-              ignore (solve inst);
-              (Unix.gettimeofday () -. t0) *. 1000.0)
-            insts
-        in
+        let ms = List.map (fun inst -> time_ms (fun () -> solve inst)) insts in
         rowf "fig8a scale=%5d  %-18s %10.2f ms" scale name
           (Stats.mean (Array.of_list ms))
       in
@@ -207,20 +206,22 @@ let fig8a () =
       time_method "sate (end-to-end)" (fun i -> Model.predict sate i);
       let graphs = List.map Te_graph.of_instance insts in
       let infer_ms =
-        List.map
-          (fun g ->
-            let t0 = Unix.gettimeofday () in
-            ignore (Model.forward ~parallel:true sate g);
-            (Unix.gettimeofday () -. t0) *. 1000.0)
-          graphs
+        List.map (fun g -> time_ms (fun () -> Model.forward ~parallel:true sate g)) graphs
       in
       rowf "fig8a scale=%5d  %-18s %10.2f ms" scale "sate (inference)"
         (Stats.mean (Array.of_list infer_ms));
       time_method "harp-like" (fun i -> Harp_like.predict harp i);
       time_method "lp-optimal" (fun i -> Lp_solver.solve i);
+      (* POP's sub-LPs run on parallel solvers: its latency is that of
+         the slowest one. *)
       (match insts with
       | inst :: _ ->
-          let _, pop_ms = Sate_baselines.Pop.solve_timed ~k:4 inst in
+          let pop_ms =
+            List.fold_left
+              (fun worst (sub, _) -> Float.max worst (time_ms (fun () -> Lp_solver.solve sub)))
+              0.0
+              (Sate_baselines.Pop.subproblems ~k:4 inst)
+          in
           rowf "fig8a scale=%5d  %-18s %10.2f ms" scale "pop-4 (parallel)" pop_ms
       | [] -> ());
       time_method "ecmp-wf" (fun i -> Sate_baselines.Ecmp_wf.solve i);
@@ -244,10 +245,7 @@ let fig8b () =
     List.concat_map
       (fun inst ->
         let g = Te_graph.of_instance inst in
-        List.init 10 (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (Model.forward ~parallel:true model g);
-            (Unix.gettimeofday () -. t0) *. 1000.0))
+        List.init 10 (fun _ -> time_ms (fun () -> Model.forward ~parallel:true model g)))
       insts
   in
   let arr = Array.of_list samples in
@@ -266,17 +264,15 @@ let fig9a () =
   List.iter
     (fun scale ->
       let insts = instances_of ~scale ~count:3 ~spacing:5.0 () in
-      let samples = List.map Trainer.make_sample insts in
-      let sate = Model.create ~seed:2 () in
-      let r = Trainer.train ~epochs:5 sate samples in
-      rowf "fig9a scale=%4d  sate       %8.2f s (5 epochs x 3 samples)" scale
-        r.Trainer.wall_clock_s;
-      let teal = Teal_like.create ~num_sats:scale ~k:4 () in
-      let teal_s = Teal_like.train ~epochs:5 teal insts in
-      rowf "fig9a scale=%4d  teal-like  %8.2f s" scale teal_s;
-      let harp = Harp_like.create ~seed:2 () in
-      let harp_s = Harp_like.train ~epochs:5 harp insts in
-      rowf "fig9a scale=%4d  harp-like  %8.2f s" scale harp_s)
+      let row name train =
+        rowf "fig9a scale=%4d  %-10s %8.2f s (LP labels + 5 epochs x 3 samples)" scale name
+          (time_ms train /. 1000.0)
+      in
+      row "sate" (fun () ->
+          Trainer.train ~epochs:5 (Model.create ~seed:2 ()) (List.map Trainer.make_sample insts));
+      row "teal-like" (fun () ->
+          Teal_like.train ~epochs:5 (Teal_like.create ~num_sats:scale ~k:4 ()) insts);
+      row "harp-like" (fun () -> Harp_like.train ~epochs:5 (Harp_like.create ~seed:2 ()) insts))
     scales
 
 (* ------------------------------------------------------------------ *)
@@ -509,7 +505,7 @@ let fig15a () =
   (* Light enough load that all demand fits: MLU comparisons are only
      meaningful between allocations carrying the same traffic. *)
   let insts = instances_of ~lambda:3.0 ~count:2 ~spacing:8.0 ~seed:51 () in
-  let mlu_model = trained_model ~objective:"mlu" () in
+  let mlu_model = trained_model ~objective:Lp_solver.Min_mlu () in
   let harp = Harp_like.create ~seed:5 () in
   ignore (Harp_like.train ~epochs:10 harp (instances_of ~lambda:3.0 ~count:3 ~spacing:7.0 ()));
   let report name m =
@@ -655,9 +651,7 @@ let ablate_graph () =
       List.map
         (fun inst ->
           let g = Te_graph.of_instance ~with_access_relation:with_access inst in
-          let t0 = Unix.gettimeofday () in
-          ignore (Model.forward model g);
-          (Unix.gettimeofday () -. t0) *. 1000.0)
+          time_ms (fun () -> Model.forward model g))
         insts
     in
     rowf "ablate_graph %-10s inference=%.2f ms  params=%d" name

@@ -22,6 +22,12 @@ module Allocation = Sate_te.Allocation
 module Instance = Sate_te.Instance
 module Stats = Sate_util.Stats
 
+(* Result of [f ()] and its wall-clock time in seconds. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
 (* Shared options. *)
 
 let scale_arg =
@@ -108,8 +114,8 @@ let train_cmd =
     let data = List.map Trainer.make_sample insts in
     let model = Model.create ~seed () in
     Printf.printf "training %d epochs on %d samples...\n%!" epochs samples;
-    let r = Trainer.train ~epochs model data in
-    Printf.printf "trained in %.1f s (loss %.4f -> %.4f)\n" r.Trainer.wall_clock_s
+    let r, secs = timed (fun () -> Trainer.train ~epochs model data) in
+    Printf.printf "trained in %.1f s (loss %.4f -> %.4f)\n" secs
       r.Trainer.losses.(0)
       r.Trainer.losses.(Array.length r.Trainer.losses - 1);
     Model.save model out;
@@ -135,10 +141,10 @@ let eval_cmd =
     | model ->
         let s = scenario_of scale mode lambda seed in
         let inst = Scenario.instance_at s ~time_s:0.0 in
-        let alloc, ms = Method.solve_timed (Method.Sate model) inst in
+        let alloc, secs = timed (fun () -> Method.solve (Method.Sate model) inst) in
         Printf.printf "offline: satisfied=%.1f%% latency=%.1f ms feasible=%b\n%!"
           (100.0 *. Allocation.satisfied_ratio inst alloc)
-          ms
+          (secs *. 1000.0)
           (Allocation.is_feasible inst alloc);
         let s2 = scenario_of scale mode lambda (seed + 1) in
         let r = Online.evaluate ~duration_s:duration s2 (Method.Sate model) in
@@ -172,11 +178,11 @@ let solve_cmd =
       | `Ecmp -> Method.Ecmp_wf
       | `Routing -> Method.Satellite_routing
     in
-    let alloc, ms = Method.solve_timed m inst in
+    let alloc, secs = timed (fun () -> Method.solve m inst) in
     Printf.printf "%s: satisfied=%.1f%% mlu=%.3f latency=%.1f ms\n" (Method.name m)
       (100.0 *. Allocation.satisfied_ratio inst alloc)
       (Allocation.mlu inst alloc)
-      ms
+      (secs *. 1000.0)
   in
   let m =
     Arg.(value & opt method_conv `Lp

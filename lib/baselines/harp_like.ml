@@ -8,6 +8,7 @@ module Model = Sate_gnn.Model
 module Te_graph = Sate_gnn.Te_graph
 module Gat = Sate_gnn.Gat
 module Trainer = Sate_gnn.Trainer
+module Loss = Sate_gnn.Loss
 
 type t = {
   base : Model.t;
@@ -85,23 +86,17 @@ let forward t (g : Te_graph.t) =
   end
 
 let train ?(epochs = 20) t instances =
-  let t0 = Unix.gettimeofday () in
   let samples =
-    List.map (Trainer.make_sample ~objective:Sate_te.Lp_solver.Min_mlu) instances
+    Array.of_list
+      (List.map (Trainer.make_sample ~objective:Sate_te.Lp_solver.Min_mlu) instances)
   in
   let opt = Optimizer.adam ~lr:2e-3 (params t) in
+  let loss { Trainer.graph = g; labels; _ } =
+    if g.Te_graph.num_paths = 0 then None else Some (Loss.mse (forward t g) labels)
+  in
   for _ = 1 to epochs do
-    List.iter
-      (fun { Trainer.graph = g; labels; _ } ->
-        if g.Te_graph.num_paths > 0 then begin
-          let pred = forward t g in
-          let loss = A.mean (A.square (A.sub pred (A.const labels))) in
-          A.backward loss;
-          Optimizer.step opt
-        end)
-      samples
-  done;
-  Unix.gettimeofday () -. t0
+    ignore (Trainer.epoch opt loss samples)
+  done
 
 let predict t inst =
   let ratios = forward t (Te_graph.of_instance inst) in

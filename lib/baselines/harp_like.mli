@@ -22,9 +22,11 @@ val create : ?seed:int -> unit -> t
 
 val num_parameters : t -> int
 
-val train : ?epochs:int -> t -> Sate_te.Instance.t list -> float
-(** Supervised training against MLU-optimal LP labels (Adam, learning
-    rate 2e-3); returns wall-clock seconds. *)
+val train : ?epochs:int -> t -> Sate_te.Instance.t list -> unit
+(** Supervised training against MLU-optimal LP labels: one
+    {!Sate_gnn.Trainer.epoch} of {!Sate_gnn.Loss.mse} per epoch, in
+    instance order, skipping instances without paths (Adam, learning
+    rate 2e-3). *)
 
 val predict : t -> Sate_te.Instance.t -> Sate_te.Allocation.t
 (** Trimmed allocation (generalises across topologies like any GNN,

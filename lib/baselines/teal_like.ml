@@ -2,6 +2,8 @@ open Sate_tensor
 module A = Sate_nn.Autodiff
 module Layers = Sate_nn.Layers
 module Optimizer = Sate_nn.Optimizer
+module Loss = Sate_gnn.Loss
+module Trainer = Sate_gnn.Trainer
 module Rng = Sate_util.Rng
 module Instance = Sate_te.Instance
 module Allocation = Sate_te.Allocation
@@ -76,26 +78,20 @@ let check_scale t (inst : Instance.t) =
          t.num_sats n)
 
 let train ?(epochs = 20) t instances =
-  let t0 = Unix.gettimeofday () in
   List.iter (check_scale t) instances;
   let samples =
-    List.map
-      (fun inst ->
-        let label = Sate_te.Lp_solver.solve inst in
-        (dense_input t inst, dense_labels t inst label))
-      instances
+    Array.of_list
+      (List.map
+         (fun inst ->
+           let label = Sate_te.Lp_solver.solve inst in
+           (dense_input t inst, dense_labels t inst label))
+         instances)
   in
   let opt = Optimizer.adam ~lr:2e-3 (params t) in
+  let loss (input, label) = Some (Loss.mse (forward t (A.const input)) label) in
   for _ = 1 to epochs do
-    List.iter
-      (fun (input, label) ->
-        let pred = forward t (A.const input) in
-        let loss = A.mean (A.square (A.sub pred (A.const label))) in
-        A.backward loss;
-        Optimizer.step opt)
-      samples
-  done;
-  Unix.gettimeofday () -. t0
+    ignore (Trainer.epoch opt loss samples)
+  done
 
 let predict t (inst : Instance.t) =
   check_scale t inst;

@@ -26,9 +26,10 @@ val create : num_sats:int -> k:int -> unit -> t
 
 val num_parameters : t -> int
 
-val train : ?epochs:int -> t -> Sate_te.Instance.t list -> float
-(** Supervised training against LP labels on the dense grid (Adam,
-    learning rate 2e-3); returns wall-clock seconds. *)
+val train : ?epochs:int -> t -> Sate_te.Instance.t list -> unit
+(** Supervised training against LP labels on the dense grid: one
+    {!Sate_gnn.Trainer.epoch} of {!Sate_gnn.Loss.mse} per epoch, in
+    instance order (Adam, learning rate 2e-3). *)
 
 val predict : t -> Sate_te.Instance.t -> Sate_te.Allocation.t
 (** Trimmed allocation.  Raises [Invalid_argument] if the instance's

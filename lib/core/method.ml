@@ -45,12 +45,3 @@ let starlink_latency_ms = function
   | Ecmp_wf -> Some 54_000.0
   | Satellite_routing -> Some 0.0
   | Lp_utility | Max_min | Sate_mlu _ | Teal _ | Harp _ -> None
-
-let solve_timed m inst =
-  match m with
-  | Pop k -> Sate_baselines.Pop.solve_timed ~k inst
-  | Satellite_routing -> (solve m inst, 0.0)
-  | _ ->
-      let t0 = Unix.gettimeofday () in
-      let alloc = solve m inst in
-      (alloc, (Unix.gettimeofday () -. t0) *. 1000.0)

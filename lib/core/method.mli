@@ -30,9 +30,3 @@ val starlink_latency_ms : t -> float option
     and 0 for the distributed satellite routing; [None] for the
     methods it gives no figure for.  Online replays pass it as
     {!Online.evaluate}'s [latency_override_ms]. *)
-
-val solve_timed : t -> Sate_te.Instance.t -> Sate_te.Allocation.t * float
-(** Allocation plus computational latency in milliseconds.  For POP
-    the latency is that of the slowest parallel partition; for the
-    distributed [Satellite_routing] the paper excludes latency
-    comparisons, so 0 is reported. *)

@@ -15,6 +15,8 @@ let default_config =
     alpha_max = 2.0;
     supervised_weight = 4.0 }
 
+let mse pred labels = A.mean (A.square (A.sub pred (A.const labels)))
+
 let compute cfg (g : Te_graph.t) ~pred_ratios ~label_ratios =
   let demand = A.const (Tensor.of_column g.Te_graph.path_demand) in
   (* Predicted rates x_jp = ratio * demand. *)
@@ -49,10 +51,7 @@ let compute cfg (g : Te_graph.t) ~pred_ratios ~label_ratios =
       (1.0 /. (cfg.lambda_balance *. cfg.lambda_flow *. total_demand))
       (A.add (A.scale (-.cfg.lambda_flow) total_flow) penalty)
   in
-  let supervised =
-    A.scale cfg.supervised_weight
-      (A.mean (A.square (A.sub pred_ratios (A.const label_ratios))))
-  in
+  let supervised = A.scale cfg.supervised_weight (mse pred_ratios label_ratios) in
   A.add supervised opt_term
 
 let label_ratios_of_alloc (inst : Instance.t) alloc =

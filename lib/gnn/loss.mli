@@ -21,6 +21,11 @@ val default_config : config
     keeps the early overload penalty from collapsing the allocator to
     zero before the supervised signal takes hold). *)
 
+val mse : Sate_nn.Autodiff.t -> Sate_tensor.Tensor.t -> Sate_nn.Autodiff.t
+(** Mean squared error of a prediction against fixed labels: the
+    supervised term of {!compute} and the whole loss of the Teal-like
+    and HARP-like baselines. *)
+
 val compute :
   config ->
   Te_graph.t ->

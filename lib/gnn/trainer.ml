@@ -15,42 +15,39 @@ let make_sample ?(objective = Sate_te.Lp_solver.Max_throughput) instance =
     graph = Te_graph.of_instance instance;
     labels = Loss.label_ratios_of_alloc instance alloc }
 
-type report = {
-  epochs_run : int;
-  losses : float array;
-  wall_clock_s : float;
-}
+type report = { losses : float array }
+
+let epoch opt loss samples =
+  let total = ref 0.0 and count = ref 0 in
+  Array.iter
+    (fun s ->
+      match loss s with
+      | None -> ()
+      | Some l ->
+          A.backward l;
+          Optimizer.step opt;
+          total := !total +. A.scalar_value l;
+          incr count)
+    samples;
+  if !count > 0 then !total /. float_of_int !count else 0.0
 
 (* Seed of the per-epoch sample shuffle. *)
 let shuffle_seed = 17
 
 let train ?(epochs = 30) ?(lr = 2e-3) model samples =
-  let t0 = Unix.gettimeofday () in
-  let params = Model.params model in
-  let opt = Optimizer.adam ~lr params in
+  let opt = Optimizer.adam ~lr (Model.params model) in
   let rng = Rng.create shuffle_seed in
   let samples = Array.of_list samples in
-  let losses = Array.make epochs 0.0 in
-  for epoch = 0 to epochs - 1 do
-    Rng.shuffle rng samples;
-    let total = ref 0.0 and count = ref 0 in
-    Array.iter
-      (fun s ->
-        if s.graph.Te_graph.num_paths > 0 then begin
-          let pred = Model.forward model s.graph in
-          let loss =
-            Loss.compute Loss.default_config s.graph ~pred_ratios:pred
-              ~label_ratios:s.labels
-          in
-          A.backward loss;
-          Optimizer.step opt;
-          total := !total +. A.scalar_value loss;
-          incr count
-        end)
-      samples;
-    losses.(epoch) <- (if !count > 0 then !total /. float_of_int !count else 0.0)
-  done;
-  { epochs_run = epochs; losses; wall_clock_s = Unix.gettimeofday () -. t0 }
+  let loss s =
+    if s.graph.Te_graph.num_paths = 0 then None
+    else
+      let pred = Model.forward model s.graph in
+      Some (Loss.compute Loss.default_config s.graph ~pred_ratios:pred ~label_ratios:s.labels)
+  in
+  { losses =
+      Array.init epochs (fun _ ->
+          Rng.shuffle rng samples;
+          epoch opt loss samples) }
 
 let fine_tune ?(epochs = 10) model samples = train ~epochs ~lr:5e-4 model samples
 

@@ -13,16 +13,21 @@ val make_sample : ?objective:Sate_te.Lp_solver.objective -> Sate_te.Instance.t -
     variant), and pre-build its reduced TE graph (no access
     relation). *)
 
-type report = {
-  epochs_run : int;
-  losses : float array;  (** Mean loss per epoch. *)
-  wall_clock_s : float;
-}
+type report = { losses : float array  (** Mean loss per epoch. *) }
+
+val epoch :
+  Sate_nn.Optimizer.t -> ('a -> Sate_nn.Autodiff.t option) -> 'a array -> float
+(** One pass over [samples] in array order: each sample's loss is
+    back-propagated and followed by one optimizer step.  A sample whose
+    loss is [None] is skipped; the result is the mean loss of the rest
+    (0 when none).  The supervised loop of SaTE and of the learned
+    baselines. *)
 
 val train : ?epochs:int -> ?lr:float -> Model.t -> sample list -> report
 (** Adam (default learning rate 2e-3, 30 epochs) over per-sample
-    {!Loss.default_config} losses, samples shuffled each epoch by an
-    RNG seeded with 17. *)
+    {!Loss.default_config} losses, samples shuffled before each
+    {!epoch} by an RNG seeded with 17; samples without paths are
+    skipped. *)
 
 val fine_tune : ?epochs:int -> Model.t -> sample list -> report
 (** Continue training an existing (e.g. transferred) model at the

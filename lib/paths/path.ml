@@ -19,8 +19,6 @@ let destination t = t.nodes.(Array.length t.nodes - 1)
 
 let hops t = Array.length t.nodes - 1
 
-let equal a b = a.nodes = b.nodes
-
 let compare a b = compare a.nodes b.nodes
 
 let is_loopless t =

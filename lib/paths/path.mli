@@ -15,8 +15,6 @@ val destination : t -> int
 val hops : t -> int
 (** Number of links traversed. *)
 
-val equal : t -> t -> bool
-
 val compare : t -> t -> int
 
 val is_loopless : t -> bool

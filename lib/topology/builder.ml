@@ -47,10 +47,6 @@ let create ?(config = default_config) constellation =
     relay_retry_at = Array.make n Float.neg_infinity;
     last_time = Float.neg_infinity }
 
-let constellation t = t.constellation
-
-let num_relays t = Array.length t.relays
-
 let reset t =
   Array.fill t.partner_up 0 (Array.length t.partner_up) None;
   Array.fill t.partner_down 0 (Array.length t.partner_down) None;

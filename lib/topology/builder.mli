@@ -37,10 +37,6 @@ val create : ?config:config -> Sate_orbit.Constellation.t -> t
     {!Relay_sites} when the mode is [Ground_relays] and no relays
     otherwise. *)
 
-val constellation : t -> Sate_orbit.Constellation.t
-
-val num_relays : t -> int
-
 val snapshot : t -> time_s:float -> Snapshot.t
 (** Produce the topology at [time_s].  Calls must use non-decreasing
     times (hysteresis); a decreasing time raises [Invalid_argument]. *)

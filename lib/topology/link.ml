@@ -1,5 +1,3 @@
-module Geo = Sate_geo.Geo
-
 type kind = Intra_orbit | Inter_orbit | Cross_shell_laser | Relay
 
 type t = {
@@ -14,5 +12,3 @@ let key t = if t.u <= t.v then (t.u, t.v) else (t.v, t.u)
 
 let compare_key (a1, b1) (a2, b2) =
   match compare a1 a2 with 0 -> compare b1 b2 | c -> c
-
-let delay_ms t = t.length_km /. Geo.speed_of_light_km_s *. 1000.0

@@ -26,6 +26,3 @@ val key : t -> int * int
     comparison; a topology is its set of keys. *)
 
 val compare_key : int * int -> int * int -> int
-
-val delay_ms : t -> float
-(** Propagation delay across the link. *)

@@ -57,8 +57,6 @@ let create ?(config = default_config) ~lambda () =
     active = Hashtbl.create 1024;
     expiries = Heap.create () }
 
-let lambda t = t.lambda
-
 let set_lambda t l = t.lambda <- l
 
 let new_flow t ~start_s =

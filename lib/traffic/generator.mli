@@ -44,8 +44,6 @@ type t
 val create : ?config:config -> lambda:float -> unit -> t
 (** Fresh generator with no active flows at time 0. *)
 
-val lambda : t -> float
-
 val set_lambda : t -> float -> unit
 (** Change the arrival intensity (traffic-load sweeps). *)
 

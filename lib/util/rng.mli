@@ -12,9 +12,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from [seed]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state (the copy evolves independently). *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     independent of the remainder of [t]'s stream. *)

@@ -420,7 +420,7 @@ let test_loss_decreases_with_training () =
   let samples = List.map Trainer.make_sample (Helpers.instance_series ~count:3 ()) in
   let model = Model.create ~seed:4 () in
   let report = Trainer.train ~epochs:8 model samples in
-  Alcotest.(check int) "epochs" 8 report.Trainer.epochs_run;
+  Alcotest.(check int) "epochs" 8 (Array.length report.Trainer.losses);
   let first = report.Trainer.losses.(0) in
   let last = report.Trainer.losses.(7) in
   Alcotest.(check bool)
@@ -437,6 +437,44 @@ let test_training_improves_over_untrained () =
   Alcotest.(check bool)
     (Printf.sprintf "satisfied improved (%.3f -> %.3f)" before after)
     true (after > before)
+
+(* An epoch skips a sample without paths: no step, and no share in
+   the mean loss. *)
+let test_epoch_skips_pathless_samples () =
+  let a, b =
+    match List.map Trainer.make_sample (Helpers.instance_series ~count:2 ()) with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  let empty = { a.Trainer.instance with Instance.commodities = [||] } in
+  let pathless =
+    { Trainer.instance = empty; graph = Te_graph.of_instance empty; labels = Tensor.create 0 1 }
+  in
+  let bits xs = List.map Int64.bits_of_float xs in
+  let run samples =
+    let model = Model.create ~seed:6 () in
+    let opt = Sate_nn.Optimizer.adam ~lr:2e-3 (Model.params model) in
+    let loss (s : Trainer.sample) =
+      if s.Trainer.graph.Te_graph.num_paths = 0 then None
+      else
+        let pred = Model.forward model s.Trainer.graph in
+        Some
+          (Loss.compute Loss.default_config s.Trainer.graph ~pred_ratios:pred
+             ~label_ratios:s.Trainer.labels)
+    in
+    let losses = List.init 3 (fun _ -> Trainer.epoch opt loss samples) in
+    let weights =
+      List.concat_map (fun (p : A.t) -> Array.to_list p.A.value.Tensor.data) (Model.params model)
+    in
+    (bits losses, bits weights)
+  in
+  let losses, weights = run [| a; pathless; b |] in
+  let losses', weights' = run [| a; b |] in
+  Alcotest.(check (list int64)) "same losses" losses' losses;
+  Alcotest.(check (list int64)) "same weights" weights' weights;
+  let none, untouched = run [| pathless |] in
+  Alcotest.(check (list int64)) "mean of no sample" (bits [ 0.0; 0.0; 0.0 ]) none;
+  Alcotest.(check (list int64)) "no step" (snd (run [||])) untouched
 
 let test_loss_penalty_positive_on_overload () =
   let inst = Helpers.congested_instance () in
@@ -483,6 +521,7 @@ let suite =
     Alcotest.test_case "save/load" `Quick test_model_save_load;
     Alcotest.test_case "loss decreases" `Slow test_loss_decreases_with_training;
     Alcotest.test_case "training improves" `Slow test_training_improves_over_untrained;
+    Alcotest.test_case "epoch skips pathless samples" `Quick test_epoch_skips_pathless_samples;
     Alcotest.test_case "loss finite on overload" `Quick test_loss_penalty_positive_on_overload;
     Alcotest.test_case "label ratios" `Quick test_label_ratios;
     Alcotest.test_case "mean aggregation" `Quick test_mean_aggregation_ablation;
