@@ -39,11 +39,15 @@ let header id title = Printf.printf "\n=== %s: %s ===\n%!" id title
 
 let rowf fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* Wall-clock milliseconds of [f ()], whose result is dropped. *)
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
+(* Wall-clock milliseconds of [n] calls of [f] (results dropped),
+   after one untimed warm-up call: the warm-up takes first-call costs
+   (allocation growth, cold caches) out of the samples. *)
+let time_ms ~n f =
   ignore (f ());
-  (Unix.gettimeofday () -. t0) *. 1000.0
+  Array.init n (fun _ ->
+      let t0 = Unix.gettimeofday () in
+      ignore (f ());
+      (Unix.gettimeofday () -. t0) *. 1000.0)
 
 (* ------------------------------------------------------------------ *)
 (* Shared scenario / model plumbing.                                   *)
@@ -189,46 +193,52 @@ let tab1 () =
 (* Fig. 8 (a): computational latency vs constellation scale.           *)
 
 let fig8a () =
-  header "fig8a" "TE computational latency vs scale (ms)";
+  header "fig8a" "TE computational latency vs scale (ms, p50 of n calls after a warm-up)";
   let scales = if full then [ 66; 176; 396; 1584 ] else [ 66; 176; 396 ] in
   List.iter
     (fun scale ->
-      let insts = instances_of ~scale ~lambda:16.0 ~count:2 ~spacing:5.0 () in
-      let time_method name solve =
-        let ms = List.map (fun inst -> time_ms (fun () -> solve inst)) insts in
-        rowf "fig8a scale=%5d  %-18s %10.2f ms" scale name
-          (Stats.mean (Array.of_list ms))
-      in
+      let inst = Scenario.instance_at (scenario ~scale ~lambda:16.0 ()) ~time_s:0.0 in
+      let row name ~n p50 = rowf "fig8a scale=%5d  %-18s %10.2f ms  n=%d" scale name p50 n in
+      (* [n] per row fits the bench budget: many calls of the
+         sub-second methods, few of the LPs (seconds each). *)
+      let p50_ms ~n f = Stats.median (time_ms ~n f) in
+      let time_method name ~n solve = row name ~n (p50_ms ~n (fun () -> solve inst)) in
       (* Latency is weight-independent: untrained models time the
          same architecture without hours of training per scale. *)
       let sate = Model.create ~seed:1 () in
-      let harp = Harp_like.create ~seed:1 () in
-      time_method "sate (end-to-end)" (fun i -> Model.predict sate i);
-      let graphs = List.map Te_graph.of_instance insts in
-      let infer_ms =
-        List.map (fun g -> time_ms (fun () -> Model.forward ~parallel:true sate g)) graphs
+      (* Model.predict's stages (graph, forward, decode, trim), with
+         the forward timed inside each end-to-end call: timed as
+         separate calls, even alternating ones, per-call noise of the
+         parallel forward exceeded graph + trim and inverted the rows
+         at p50. *)
+      let stages () =
+        let t0 = Unix.gettimeofday () in
+        let g = Te_graph.of_instance inst in
+        let t1 = Unix.gettimeofday () in
+        let ratios = (Model.forward ~parallel:true sate g).Sate_nn.Autodiff.value in
+        let t2 = Unix.gettimeofday () in
+        let alloc = Allocation.(trim inst (of_ratios inst ratios.Sate_tensor.Tensor.data)) in
+        let t3 = Unix.gettimeofday () in
+        (alloc, (t3 -. t0) *. 1000.0, (t2 -. t1) *. 1000.0)
       in
-      rowf "fig8a scale=%5d  %-18s %10.2f ms" scale "sate (inference)"
-        (Stats.mean (Array.of_list infer_ms));
-      time_method "harp-like" (fun i -> Harp_like.predict harp i);
-      time_method "lp-optimal" (fun i -> Lp_solver.solve i);
+      let alloc, _, _ = stages () in
+      assert (alloc = Model.predict sate inst);
+      let calls = Array.init 25 (fun _ -> stages ()) in
+      row "sate (end-to-end)" ~n:25 (Stats.median (Array.map (fun (_, ms, _) -> ms) calls));
+      row "sate (inference)" ~n:25 (Stats.median (Array.map (fun (_, _, ms) -> ms) calls));
+      time_method "harp-like" ~n:5 (Method.solve (Method.Harp (Harp_like.create ~seed:1 ())));
+      time_method "lp-optimal" ~n:2 Lp_solver.solve;
       (* POP's sub-LPs run on parallel solvers: its latency is that of
          the slowest one. *)
-      (match insts with
-      | inst :: _ ->
-          let pop_ms =
-            List.fold_left
-              (fun worst (sub, _) -> Float.max worst (time_ms (fun () -> Lp_solver.solve sub)))
-              0.0
-              (Sate_baselines.Pop.subproblems ~k:4 inst)
-          in
-          rowf "fig8a scale=%5d  %-18s %10.2f ms" scale "pop-4 (parallel)" pop_ms
-      | [] -> ());
-      time_method "ecmp-wf" (fun i -> Sate_baselines.Ecmp_wf.solve i);
-      if scale <= 176 then begin
-        let teal = Teal_like.create ~num_sats:scale ~k:4 () in
-        time_method "teal-like" (fun i -> Teal_like.predict teal i)
-      end
+      row "pop-4 (parallel)" ~n:3
+        (List.fold_left
+           (fun worst (sub, _) -> Float.max worst (p50_ms ~n:3 (fun () -> Lp_solver.solve sub)))
+           0.0
+           (Sate_baselines.Pop.subproblems ~k:4 inst));
+      time_method "ecmp-wf" ~n:5 Sate_baselines.Ecmp_wf.solve;
+      if scale <= 176 then
+        time_method "teal-like" ~n:15
+          (Method.solve (Method.Teal (Teal_like.create ~num_sats:scale ~k:4 ())))
       else
         rowf "fig8a scale=%5d  %-18s %10s" scale "teal-like"
           "OOM (dense input)")
@@ -245,7 +255,7 @@ let fig8b () =
     List.concat_map
       (fun inst ->
         let g = Te_graph.of_instance inst in
-        List.init 10 (fun _ -> time_ms (fun () -> Model.forward ~parallel:true model g)))
+        Array.to_list (time_ms ~n:10 (fun () -> Model.forward ~parallel:true model g)))
       insts
   in
   let arr = Array.of_list samples in
@@ -266,7 +276,7 @@ let fig9a () =
       let insts = instances_of ~scale ~count:3 ~spacing:5.0 () in
       let row name train =
         rowf "fig9a scale=%4d  %-10s %8.2f s (LP labels + 5 epochs x 3 samples)" scale name
-          (time_ms train /. 1000.0)
+          (Stats.median (time_ms ~n:1 train) /. 1000.0)
       in
       row "sate" (fun () ->
           Trainer.train ~epochs:5 (Model.create ~seed:2 ()) (List.map Trainer.make_sample insts));
@@ -554,7 +564,7 @@ let fig16a () =
   let model = trained_model () in
   let s = scenario ~lambda:10.0 ~seed:71 () in
   let inst = Scenario.instance_at s ~time_s:0.0 in
-  let ratios = Offline.per_flow_ratios (Method.Sate model) inst in
+  let ratios = Allocation.per_commodity_ratio inst (Method.solve (Method.Sate model) inst) in
   let fully = Array.fold_left (fun acc r -> if r > 0.999 then acc + 1 else acc) 0 ratios in
   rowf "fig16a flows=%d  fully-satisfied=%.1f%%" (Array.length ratios)
     (100.0 *. float_of_int fully /. float_of_int (max 1 (Array.length ratios)));
@@ -574,7 +584,7 @@ let fig16b () =
   let series : (int * int, float list) Hashtbl.t = Hashtbl.create 64 in
   for i = 0 to ticks - 1 do
     let inst = Scenario.instance_at s ~time_s:(float_of_int i) in
-    let ratios = Offline.per_flow_ratios (Method.Sate model) inst in
+    let ratios = Allocation.per_commodity_ratio inst (Method.solve (Method.Sate model) inst) in
     Array.iteri
       (fun f r ->
         let c = inst.Instance.commodities.(f) in
@@ -648,15 +658,15 @@ let ablate_graph () =
     let hyper = { Model.default_hyper with Model.with_access_relation = with_access } in
     let model = Model.create ~hyper ~seed:7 () in
     let ms =
-      List.map
-        (fun inst ->
-          let g = Te_graph.of_instance ~with_access_relation:with_access inst in
-          time_ms (fun () -> Model.forward model g))
-        insts
+      Array.concat
+        (List.map
+           (fun inst ->
+             let g = Te_graph.of_instance ~with_access_relation:with_access inst in
+             time_ms ~n:5 (fun () -> Model.forward model g))
+           insts)
     in
-    rowf "ablate_graph %-10s inference=%.2f ms  params=%d" name
-      (Stats.mean (Array.of_list ms))
-      (Model.num_parameters model)
+    rowf "ablate_graph %-10s inference p50=%.2f ms (n=%d)  params=%d" name (Stats.median ms)
+      (Array.length ms) (Model.num_parameters model)
   in
   time_variant "reduced" false;
   time_variant "full" true
@@ -665,8 +675,8 @@ let ablate_trim () =
   header "ablate_trim" "constraint-violation correction on/off";
   let model = trained_model () in
   let inst = List.hd (instances_of ~lambda:16.0 ~count:1 ~spacing:1.0 ~seed:95 ()) in
-  let raw = Model.predict ~trim:false model inst in
-  let trimmed = Model.predict model inst in
+  let raw = Allocation.of_ratios inst (Model.ratios model inst) in
+  let trimmed = Allocation.trim inst raw in
   rowf "ablate_trim raw      feasible=%b  flow=%.1f Mbps"
     (Allocation.is_feasible inst raw) (Allocation.total_flow raw);
   rowf "ablate_trim trimmed  feasible=%b  flow=%.1f Mbps"
@@ -676,11 +686,11 @@ let ablate_fairness () =
   header "ablate_fairness" "throughput vs log-utility vs max-min (flow-level fairness, H.4)";
   let inst = List.hd (instances_of ~lambda:14.0 ~count:1 ~spacing:1.0 ~seed:97 ()) in
   let report m =
-    let ratios = Offline.per_flow_ratios m inst in
+    let alloc = Method.solve m inst in
+    let ratios = Allocation.per_commodity_ratio inst alloc in
     let starved =
       Array.fold_left (fun acc r -> if r < 0.05 then acc + 1 else acc) 0 ratios
     in
-    let alloc = Method.solve m inst in
     rowf "ablate_fairness %-16s satisfied=%.3f  p10-flow=%.3f  starved(<5%%)=%d/%d"
       (Method.name m)
       (Allocation.satisfied_ratio inst alloc)

@@ -122,7 +122,16 @@ let train_cmd =
     Printf.printf "model saved to %s (%d parameters)\n" out (Model.num_parameters model)
   in
   let epochs =
-    Arg.(value & opt int 30 & info [ "epochs" ] ~docv:"N" ~doc:"Training epochs.")
+    (* Checked at parsing, before any LP labels a sample. *)
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n >= 1 -> Ok n
+            | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt positive 30 & info [ "epochs" ] ~docv:"N" ~doc:"Training epochs (at least 1).")
   in
   let samples =
     Arg.(value & opt int 5 & info [ "samples" ] ~docv:"N" ~doc:"Training instances.")

@@ -3,7 +3,6 @@ module A = Sate_nn.Autodiff
 module Layers = Sate_nn.Layers
 module Optimizer = Sate_nn.Optimizer
 module Rng = Sate_util.Rng
-module Allocation = Sate_te.Allocation
 module Model = Sate_gnn.Model
 module Te_graph = Sate_gnn.Te_graph
 module Gat = Sate_gnn.Gat
@@ -98,6 +97,4 @@ let train ?(epochs = 20) t instances =
     ignore (Trainer.epoch opt loss samples)
   done
 
-let predict t inst =
-  let ratios = forward t (Te_graph.of_instance inst) in
-  Allocation.trim inst (Model.decode inst ratios.A.value)
+let ratios t inst = (forward t (Te_graph.of_instance inst)).A.value.Tensor.data

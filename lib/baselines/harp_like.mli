@@ -28,6 +28,7 @@ val train : ?epochs:int -> t -> Sate_te.Instance.t list -> unit
     instance order, skipping instances without paths (Adam, learning
     rate 2e-3). *)
 
-val predict : t -> Sate_te.Instance.t -> Sate_te.Allocation.t
-(** Trimmed allocation (generalises across topologies like any GNN,
-    but allocates for MLU, not throughput). *)
+val ratios : t -> Sate_te.Instance.t -> float array
+(** Per-path split ratios in the instance's path order, for
+    {!Sate_te.Allocation.of_ratios} (it generalises across topologies
+    like any GNN, but splits for MLU, not throughput). *)

@@ -6,7 +6,6 @@ module Loss = Sate_gnn.Loss
 module Trainer = Sate_gnn.Trainer
 module Rng = Sate_util.Rng
 module Instance = Sate_te.Instance
-module Allocation = Sate_te.Allocation
 
 type t = {
   num_sats : int;
@@ -51,17 +50,24 @@ let dense_input t (inst : Instance.t) =
     inst.Instance.commodities;
   input
 
-let dense_labels t (inst : Instance.t) alloc =
+(* Slot of each path, in the instance's flat path order, in the dense
+   [n^2 x k] output grid: [pair_index * k + p], or -1 when [p >= k]
+   (no slot: ratio 0). *)
+let slots t (inst : Instance.t) =
+  Array.concat
+    (Array.to_list
+       (Array.map
+          (fun (c : Instance.commodity) ->
+            let base = pair_index t c.Instance.src c.Instance.dst * t.k in
+            Array.mapi (fun p _ -> if p < t.k then base + p else -1) c.Instance.paths)
+          inst.Instance.commodities))
+
+let dense_labels t inst =
+  let labels = Loss.label_ratios_of_alloc inst (Sate_te.Lp_solver.solve inst) in
   let out = Tensor.create 1 (t.num_sats * t.num_sats * t.k) in
   Array.iteri
-    (fun f (c : Instance.commodity) ->
-      let base = pair_index t c.Instance.src c.Instance.dst * t.k in
-      Array.iteri
-        (fun p r ->
-          if p < t.k && c.Instance.demand_mbps > 0.0 then
-            out.Tensor.data.(base + p) <- r /. c.Instance.demand_mbps)
-        alloc.(f))
-    inst.Instance.commodities;
+    (fun i s -> if s >= 0 then out.Tensor.data.(s) <- labels.Tensor.data.(i))
+    (slots t inst);
   out
 
 let forward t input =
@@ -80,12 +86,7 @@ let check_scale t (inst : Instance.t) =
 let train ?(epochs = 20) t instances =
   List.iter (check_scale t) instances;
   let samples =
-    Array.of_list
-      (List.map
-         (fun inst ->
-           let label = Sate_te.Lp_solver.solve inst in
-           (dense_input t inst, dense_labels t inst label))
-         instances)
+    Array.of_list (List.map (fun inst -> (dense_input t inst, dense_labels t inst)) instances)
   in
   let opt = Optimizer.adam ~lr:2e-3 (params t) in
   let loss (input, label) = Some (Loss.mse (forward t (A.const input)) label) in
@@ -93,18 +94,7 @@ let train ?(epochs = 20) t instances =
     ignore (Trainer.epoch opt loss samples)
   done
 
-let predict t (inst : Instance.t) =
+let ratios t inst =
   check_scale t inst;
-  let pred = forward t (A.const (dense_input t inst)) in
-  let alloc = Allocation.zeros inst in
-  Array.iteri
-    (fun f (c : Instance.commodity) ->
-      let base = pair_index t c.Instance.src c.Instance.dst * t.k in
-      Array.iteri
-        (fun p _ ->
-          if p < t.k then
-            alloc.(f).(p) <-
-              c.Instance.demand_mbps *. pred.A.value.Tensor.data.(base + p))
-        alloc.(f))
-    inst.Instance.commodities;
-  Allocation.trim inst alloc
+  let pred = (forward t (A.const (dense_input t inst))).A.value.Tensor.data in
+  Array.map (fun s -> if s < 0 then 0.0 else pred.(s)) (slots t inst)

@@ -31,6 +31,14 @@ val train : ?epochs:int -> t -> Sate_te.Instance.t list -> unit
     {!Sate_gnn.Trainer.epoch} of {!Sate_gnn.Loss.mse} per epoch, in
     instance order (Adam, learning rate 2e-3). *)
 
-val predict : t -> Sate_te.Instance.t -> Sate_te.Allocation.t
-(** Trimmed allocation.  Raises [Invalid_argument] if the instance's
-    satellite count differs from the trained scale. *)
+val dense_labels : t -> Sate_te.Instance.t -> Sate_tensor.Tensor.t
+(** Training labels: the max-throughput LP's split ratios
+    ({!Sate_gnn.Loss.label_ratios_of_alloc}) on the dense [1 x n^2 k]
+    grid, in the cells {!ratios} reads; every other cell is 0. *)
+
+val ratios : t -> Sate_te.Instance.t -> float array
+(** Per-path split ratios in the instance's path order, for
+    {!Sate_te.Allocation.of_ratios}: each path [p < k] reads its
+    pair's cell [p] of the dense output, and paths past [k] get 0.
+    Raises [Invalid_argument] if the instance's satellite count
+    differs from the trained scale. *)

@@ -26,6 +26,10 @@ let name = function
   | Teal _ -> "teal-like"
   | Harp _ -> "harp-like"
 
+(* The learned baselines' split, decoded and trimmed like
+   [Sate_gnn.Model.predict]. *)
+let decode inst ratios = Allocation.trim inst (Allocation.of_ratios inst ratios)
+
 let solve m inst =
   match m with
   | Lp -> Lp_solver.solve inst
@@ -35,8 +39,8 @@ let solve m inst =
   | Max_min -> Sate_baselines.Filling.(solve ~path_choice:all_paths) inst
   | Satellite_routing -> Sate_baselines.Satellite_routing.solve inst
   | Sate model | Sate_mlu model -> Sate_gnn.Model.predict model inst
-  | Teal model -> Sate_baselines.Teal_like.predict model inst
-  | Harp model -> Sate_baselines.Harp_like.predict model inst
+  | Teal model -> decode inst (Sate_baselines.Teal_like.ratios model inst)
+  | Harp model -> decode inst (Sate_baselines.Harp_like.ratios model inst)
 
 let starlink_latency_ms = function
   | Sate _ -> Some 17.0

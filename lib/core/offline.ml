@@ -29,7 +29,7 @@ let mlu m instances =
                      carry the same traffic: take the raw (untrimmed)
                      split and scale it to route all demand, exactly
                      like the MLU LP's equality constraints. *)
-                  let raw = Sate_gnn.Model.predict ~trim:false model inst in
+                  let raw = Allocation.of_ratios inst (Sate_gnn.Model.ratios model inst) in
                   Allocation.mlu inst (Allocation.scale_to_full_demand inst raw)
               | Method.Lp_utility | Method.Pop _ | Method.Ecmp_wf | Method.Max_min
               | Method.Satellite_routing | Method.Sate _ | Method.Teal _
@@ -41,6 +41,3 @@ let mlu m instances =
           0.0 instances
       in
       total /. float_of_int (List.length instances)
-
-let per_flow_ratios m inst =
-  Allocation.per_commodity_ratio inst (Method.solve m inst)

@@ -10,6 +10,3 @@ val mlu : Method.t -> Sate_te.Instance.t list -> float
     method's split is rescaled to carry every commodity's full demand,
     matching the MLU LP's equality constraints; utilisation may exceed
     1).  For the LP method the exact MLU optimum is solved. *)
-
-val per_flow_ratios : Method.t -> Sate_te.Instance.t -> float array
-(** Flow-level satisfied demand for one instance (Fig. 16a). *)

@@ -2,7 +2,7 @@ open Sate_tensor
 module A = Sate_nn.Autodiff
 module Layers = Sate_nn.Layers
 module Rng = Sate_util.Rng
-module Instance = Sate_te.Instance
+module Allocation = Sate_te.Allocation
 module Par = Sate_par.Par
 
 type hyper = {
@@ -132,26 +132,13 @@ let forward ?(parallel = false) t (g : Te_graph.t) =
     A.sigmoid z
   end
 
-let decode inst ratios =
-  let alloc = Sate_te.Allocation.zeros inst in
-  let p = ref 0 in
-  Array.iteri
-    (fun f rates ->
-      let demand = inst.Instance.commodities.(f).Instance.demand_mbps in
-      Array.iteri
-        (fun pi _ ->
-          rates.(pi) <- demand *. Tensor.get ratios !p 0;
-          incr p)
-        rates)
-    alloc;
-  alloc
-
-let predict ?(trim = true) t inst =
+let ratios t inst =
   let g = Te_graph.of_instance ~with_access_relation:t.hyper.with_access_relation inst in
   (* Inference never runs backward, so the scheduling-dependent node
      ids of parallel graph construction are harmless here. *)
-  let alloc = decode inst (forward ~parallel:true t g).A.value in
-  if trim then Sate_te.Allocation.trim inst alloc else alloc
+  (forward ~parallel:true t g).A.value.Tensor.data
+
+let predict t inst = Allocation.trim inst (Allocation.of_ratios inst (ratios t inst))
 
 (* Save format: the tag line, then marshalled (hyper, seed, weights).
    [load] reads the tag before it unmarshals, so a file of another

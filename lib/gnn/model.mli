@@ -9,7 +9,7 @@
       transports relation;
     - the decoder maps each path embedding (concatenated with its
       demand embedding) to an allocation ratio in (0, 1); the
-      predicted rate is ratio x demand.
+      predicted rate is ratio x demand ({!Sate_te.Allocation.of_ratios}).
 
     Embeddings are initialised exactly as in the Fig. 7 table: each
     scalar TE input times a learnable 1 x d matrix W.  Residual
@@ -54,16 +54,16 @@ val forward : ?parallel:bool -> t -> Te_graph.t -> Sate_nn.Autodiff.t
     training (which runs {!Sate_nn.Autodiff.backward}) sticks with the
     default. *)
 
-val decode : Sate_te.Instance.t -> Sate_tensor.Tensor.t -> Sate_te.Allocation.t
-(** Allocation of per-path ratios ([num_paths x 1], in the instance's
-    path order): each path's rate is its ratio times its commodity's
-    demand.  No trim. *)
+val ratios : t -> Sate_te.Instance.t -> float array
+(** Inference: [forward ~parallel:true] on the instance's graph (built
+    with the model's own access-relation setting), one ratio per path
+    in the instance's path order: the forward value's data, not a
+    copy.  It allocates no gradient buffers. *)
 
-val predict : ?trim:bool -> t -> Sate_te.Instance.t -> Sate_te.Allocation.t
-(** End-to-end inference: build the graph, run
-    [forward ~parallel:true], {!decode}, and (by default) apply the
-    §3.3 feasibility trim.  The forward pass never runs backward, so
-    it allocates no gradient buffers. *)
+val predict : t -> Sate_te.Instance.t -> Sate_te.Allocation.t
+(** End to end: {!ratios}, decoded by {!Sate_te.Allocation.of_ratios}
+    and corrected by the §3.3 feasibility trim
+    ({!Sate_te.Allocation.trim}). *)
 
 val save : t -> string -> unit
 (** Persist hyperparameters and weights to a file, after a version

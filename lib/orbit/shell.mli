@@ -31,9 +31,6 @@ val size : t -> int
 val semi_major_axis_km : t -> float
 (** Orbit radius from the Earth's centre. *)
 
-val mean_motion_rad_s : t -> float
-(** Angular rate [sqrt (mu / a^3)]. *)
-
 val period_s : t -> float
 (** Orbital period in seconds. *)
 

@@ -6,6 +6,17 @@ type t = float array array
 let zeros (inst : Instance.t) =
   Array.map (fun c -> Array.make (Array.length c.Instance.paths) 0.0) inst.Instance.commodities
 
+let of_ratios (inst : Instance.t) ratios =
+  if Array.length ratios <> Instance.num_paths inst then
+    invalid_arg "Allocation.of_ratios: not one ratio per path";
+  let first = ref 0 in
+  Array.map
+    (fun c ->
+      let at = !first and demand = c.Instance.demand_mbps in
+      first := at + Array.length c.Instance.paths;
+      Array.init (Array.length c.Instance.paths) (fun p -> demand *. ratios.(at + p)))
+    inst.Instance.commodities
+
 let scale_to_demand (inst : Instance.t) alloc =
   Array.mapi
     (fun f rates ->

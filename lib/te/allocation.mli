@@ -13,6 +13,13 @@ type t = float array array
 
 val zeros : Instance.t -> t
 
+val of_ratios : Instance.t -> float array -> t
+(** The decode of every learned method (§3.3): one split ratio per
+    candidate path, in the instance's flat path order (commodity-major,
+    the order of [Sate_gnn.Te_graph]'s path nodes), to rates of demand
+    x ratio.  No trim.  Raises [Invalid_argument] unless there is one
+    ratio per path. *)
+
 val scale_to_demand : Instance.t -> t -> t
 (** Clamp negatives and scale each commodity down so its total does
     not exceed its demand (constraint 2.e). *)

@@ -9,6 +9,7 @@ module Pop = Sate_baselines.Pop
 module Satellite_routing = Sate_baselines.Satellite_routing
 module Teal_like = Sate_baselines.Teal_like
 module Harp_like = Sate_baselines.Harp_like
+module Method = Sate_core.Method
 
 let test_ecmp_feasible () =
   let inst = Helpers.congested_instance () in
@@ -117,7 +118,7 @@ let test_teal_scale_mismatch () =
   let inst = Helpers.iridium_instance () in
   let model = Teal_like.create ~num_sats:176 ~k:3 () in
   (try
-     ignore (Teal_like.predict model inst);
+     ignore (Teal_like.ratios model inst);
      Alcotest.fail "expected scale mismatch failure"
    with Invalid_argument _ -> ())
 
@@ -135,9 +136,9 @@ let test_teal_train_and_predict () =
   let model = Teal_like.create ~num_sats:66 ~k:3 () in
   Teal_like.train ~epochs:3 model instances;
   let inst = List.hd instances in
-  let alloc = Teal_like.predict model inst in
+  let alloc = Method.solve (Method.Teal model) inst in
   Alcotest.(check bool) "training changed the model" true
-    (alloc <> Teal_like.predict (Teal_like.create ~num_sats:66 ~k:3 ()) inst);
+    (alloc <> Method.solve (Method.Teal (Teal_like.create ~num_sats:66 ~k:3 ())) inst);
   Alcotest.(check bool) "feasible" true (Allocation.is_feasible inst alloc)
 
 let test_harp_train_and_predict () =
@@ -145,10 +146,55 @@ let test_harp_train_and_predict () =
   let model = Harp_like.create ~seed:1 () in
   Harp_like.train ~epochs:2 model instances;
   let inst = List.hd instances in
-  let alloc = Harp_like.predict model inst in
+  let alloc = Method.solve (Method.Harp model) inst in
   Alcotest.(check bool) "training changed the model" true
-    (alloc <> Harp_like.predict (Harp_like.create ~seed:1 ()) inst);
+    (alloc <> Method.solve (Method.Harp (Harp_like.create ~seed:1 ())) inst);
   Alcotest.(check bool) "feasible" true (Allocation.is_feasible inst alloc)
+
+(* With k = 2 and three candidate paths per pair, every third path
+   has no slot in the dense output. *)
+let test_teal_ratios_past_k () =
+  let inst = Helpers.iridium_instance () in
+  let ratios = Teal_like.ratios (Teal_like.create ~num_sats:66 ~k:2 ()) inst in
+  Alcotest.(check int) "one ratio per path" (Instance.num_paths inst) (Array.length ratios);
+  let i = ref 0 and past_k = ref 0 in
+  Array.iter
+    (fun c ->
+      Array.iteri
+        (fun p _ ->
+          if p >= 2 then begin
+            incr past_k;
+            Alcotest.(check (float 0.0)) "0 past k" 0.0 ratios.(!i)
+          end;
+          incr i)
+        c.Instance.paths)
+    inst.Instance.commodities;
+  Alcotest.(check bool) "some paths past k" true (!past_k > 0)
+
+let test_teal_dense_labels_are_lp_ratios () =
+  let inst = Helpers.iridium_instance () in
+  let n = inst.Instance.snapshot.Sate_topology.Snapshot.num_sats and k = 2 in
+  let labels = Teal_like.dense_labels (Teal_like.create ~num_sats:n ~k ()) inst in
+  let lp = Lp_solver.solve inst in
+  let commodity = Hashtbl.create 64 in
+  Array.iteri
+    (fun f c -> Hashtbl.replace commodity (c.Instance.src, c.Instance.dst) f)
+    inst.Instance.commodities;
+  let nonzero = ref 0 in
+  Array.iteri
+    (fun cell label ->
+      if label <> 0.0 then begin
+        incr nonzero;
+        let pair = cell / k and p = cell mod k in
+        match Hashtbl.find_opt commodity (pair / n, pair mod n) with
+        | None -> Alcotest.fail (Printf.sprintf "cell %d has no commodity" cell)
+        | Some f ->
+            let c = inst.Instance.commodities.(f) in
+            Alcotest.(check (float 0.0)) "LP rate / demand" (lp.(f).(p) /. c.Instance.demand_mbps)
+              label
+      end)
+    labels.Sate_tensor.Tensor.data;
+  Alcotest.(check bool) "some nonzero labels" true (!nonzero > 0)
 
 let test_harp_has_more_parameters_than_sate () =
   let sate = Sate_gnn.Model.create ~seed:1 () in
@@ -172,4 +218,6 @@ let suite =
     Alcotest.test_case "teal input quadratic" `Quick test_teal_input_volume_quadratic;
     Alcotest.test_case "teal train/predict" `Slow test_teal_train_and_predict;
     Alcotest.test_case "harp train/predict" `Slow test_harp_train_and_predict;
-    Alcotest.test_case "harp parameter count" `Quick test_harp_has_more_parameters_than_sate ]
+    Alcotest.test_case "harp parameter count" `Quick test_harp_has_more_parameters_than_sate;
+    Alcotest.test_case "teal ratios past k" `Quick test_teal_ratios_past_k;
+    Alcotest.test_case "teal dense labels" `Quick test_teal_dense_labels_are_lp_ratios ]

@@ -153,7 +153,7 @@ let test_offline_mlu () =
 let test_per_flow_ratios () =
   let s = quick_scenario () in
   let inst = Scenario.instance_at s ~time_s:0.0 in
-  let ratios = Offline.per_flow_ratios Method.Lp inst in
+  let ratios = Allocation.per_commodity_ratio inst (Method.solve Method.Lp inst) in
   Alcotest.(check int) "per commodity" (Instance.num_commodities inst) (Array.length ratios)
 
 let control_plane_snapshot () =

@@ -367,6 +367,13 @@ let test_model_predict_feasible () =
   Alcotest.(check bool) "prediction feasible after trim" true
     (Allocation.is_feasible inst alloc)
 
+let test_model_predict_is_trimmed_ratios () =
+  let inst = Helpers.congested_instance () in
+  let model = Model.create ~seed:2 () in
+  Alcotest.(check bool) "predict = trim (of_ratios ratios)" true
+    (Model.predict model inst
+    = Allocation.trim inst (Allocation.of_ratios inst (Model.ratios model inst)))
+
 let test_model_save_load () =
   let inst = Helpers.iridium_instance () in
   let g = graph_of inst in
@@ -529,4 +536,5 @@ let suite =
     Alcotest.test_case "gat gradients match unfused chain" `Quick
       test_gat_gradients_match_unfused;
     Alcotest.test_case "gat forward allocation" `Quick test_gat_forward_allocation;
-    Alcotest.test_case "load rejects other files" `Quick test_model_load_rejects_other_files ]
+    Alcotest.test_case "load rejects other files" `Quick test_model_load_rejects_other_files;
+    Alcotest.test_case "predict is trimmed ratios" `Quick test_model_predict_is_trimmed_ratios ]

@@ -82,6 +82,37 @@ let test_zeros_allocation () =
   Alcotest.(check bool) "feasible" true (Allocation.is_feasible inst alloc);
   Alcotest.(check (float 0.0)) "mlu zero" 0.0 (Allocation.mlu inst alloc)
 
+let test_of_ratios () =
+  let inst = Helpers.iridium_instance () in
+  let n = Instance.num_paths inst in
+  Alcotest.(check bool) "all-zero ratios are zeros" true
+    (Allocation.of_ratios inst (Array.make n 0.0) = Allocation.zeros inst);
+  let full = Allocation.of_ratios inst (Array.make n 1.0) in
+  Alcotest.(check (list int)) "shape of zeros"
+    (Array.to_list (Array.map Array.length (Allocation.zeros inst)))
+    (Array.to_list (Array.map Array.length full));
+  Array.iteri
+    (fun f rates ->
+      let demand = inst.Instance.commodities.(f).Instance.demand_mbps in
+      Array.iter (fun r -> Alcotest.(check (float 0.0)) "full demand" demand r) rates)
+    full;
+  (* A distinct ratio per path lands on that path, in the flat
+     commodity-major order. *)
+  let ramp = Array.init n (fun i -> float_of_int (i + 1) /. float_of_int n) in
+  let i = ref 0 in
+  Array.iteri
+    (fun f rates ->
+      let demand = inst.Instance.commodities.(f).Instance.demand_mbps in
+      Array.iter
+        (fun r ->
+          Alcotest.(check (float 0.0)) "flat order" (demand *. ramp.(!i)) r;
+          incr i)
+        rates)
+    (Allocation.of_ratios inst ramp);
+  Alcotest.check_raises "one ratio per path"
+    (Invalid_argument "Allocation.of_ratios: not one ratio per path") (fun () ->
+      ignore (Allocation.of_ratios inst (Array.make (n + 1) 0.0)))
+
 let test_scale_to_demand () =
   let inst = Helpers.iridium_instance () in
   let alloc = Allocation.zeros inst in
@@ -461,4 +492,5 @@ let suite =
     Alcotest.test_case "verify raises on solver failure" `Quick
       test_verify_raises_on_solver_failure;
     Alcotest.test_case "lp allocation" `Quick test_lp_allocation;
-    Alcotest.test_case "make on another snapshot" `Quick test_make_other_snapshot ]
+    Alcotest.test_case "make on another snapshot" `Quick test_make_other_snapshot;
+    Alcotest.test_case "of ratios" `Quick test_of_ratios ]
